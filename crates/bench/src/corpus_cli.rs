@@ -1,30 +1,36 @@
 //! `repro corpus` — manage persistent plan corpora from the command line.
 //!
+//! Every corpus is a segment-store *directory* (`uplan_corpus::SegmentStore`:
+//! immutable CRC-checked segment files plus one atomically rewritten
+//! manifest). Monolithic `.uplanc` documents and JSON-lines files from
+//! earlier releases are read-only input: `import` converts one into a
+//! store, and every other command refuses anything but a store directory.
+//!
 //! ```text
-//! repro corpus ingest <out> <source> <explain-file>... [--threads N] [--shards N] [--index]
-//!                     [--append] [--segmented]
-//! repro corpus ingest <out> --raw <dump.jsonl>... [--threads N] [--shards N] [--index]
-//!                     [--append] [--segmented] [--lenient] [--max-errors N] [--quarantine <file>]
+//! repro corpus import <corpus.uplanc|corpus.jsonl> <store-dir>
+//!     Convert a legacy corpus into a new one-segment store. The input is
+//!     decoded strictly (every UPLN version, CRCs verified; a persisted
+//!     index is adopted with zero TED evaluations); a damaged input is
+//!     rejected (exit 2) before anything is written.
+//! repro corpus ingest <store-dir> <source> <explain-file>... [--threads N] [--shards N]
+//!                     [--append]
+//! repro corpus ingest <store-dir> --raw <dump.jsonl>... [--threads N] [--shards N]
+//!                     [--append] [--lenient] [--max-errors N] [--quarantine <file>]
 //!     Convert native EXPLAIN files (any of the converter dialects, see
-//!     `repro corpus sources`) and store them deduplicated. `<out>` ending
-//!     in .jsonl writes JSON lines; anything else writes the binary codec.
-//!     `--threads` fans ingest out across scoped worker threads (the
-//!     resulting corpus is byte-identical for every thread count);
-//!     `--shards` overrides the corpus shard count; `--index` persists the
-//!     BK-index topology (UPLN v2+) so the next load is index-free.
-//!     With `--raw`, the files are mixed-source dumps instead (JSON-lines,
-//!     `---`-separator-framed or `#<bytes>` length-prefixed; framing is
-//!     sniffed per file), each record source-sniffed via the converter
-//!     registry and streamed batch-wise into the sharded corpus.
-//!     `--lenient` skips bad records instead of aborting and prints the
-//!     per-record error census; `--max-errors` bounds the tolerated
-//!     garbage; `--quarantine` writes failed records to a replayable
-//!     JSONL file. `--append` loads an existing `<out>` and grows it in
-//!     place instead of starting fresh. `--segmented` makes `<out>` an
-//!     append-only segment-store *directory* (also auto-detected when
-//!     `<out>` already is one): each ingest appends one immutable segment
-//!     and atomically rewrites only the small manifest — cost O(batch),
-//!     never a full-corpus rewrite.
+//!     `repro corpus sources`) and store them deduplicated. Without
+//!     `--append`, `<store-dir>` must not exist yet and becomes a new store
+//!     (`--shards` sets its shard count); with `--append`, the batch is
+//!     appended to the existing store as one immutable segment and only
+//!     the manifest is rewritten — cost O(batch). `--threads` fans ingest
+//!     out across scoped worker threads (the written files are
+//!     byte-identical for every thread count). With `--raw`, the files are
+//!     mixed-source dumps instead (JSON-lines, `---`-separator-framed or
+//!     `#<bytes>` length-prefixed; framing is sniffed per file), each
+//!     record source-sniffed via the converter registry and streamed
+//!     batch-wise into the sharded corpus. `--lenient` skips bad records
+//!     instead of aborting and prints the per-record error census;
+//!     `--max-errors` bounds the tolerated garbage; `--quarantine` writes
+//!     failed records to a replayable JSONL file.
 //! repro corpus raw-fixture <out.jsonl> [queries] [--dirty N] [--seed HEX]
 //!     Write a deterministic mixed-source raw dump covering all nine
 //!     dialects ([queries] TPC-H-lite queries per relational engine,
@@ -38,61 +44,54 @@
 //!     asserts that lenient ingest of a dirty dump is byte-identical to
 //!     strict ingest of its valid lines alone. Exits non-zero on any
 //!     divergence.
-//! repro corpus salvage <corpus> [--out <path>]
-//!     Recover what a damaged corpus file still holds: the longest
-//!     CRC-verified prefix of a binary (v3) document, the decodable
-//!     prefix of older versions, or the parseable lines of a JSONL file.
-//!     A segment-store *directory* salvages per segment: every segment
-//!     that parses, CRC-verifies and decodes whole is recovered in full,
-//!     damaged segments drop whole, and a missing manifest is rebuilt
+//! repro corpus salvage <store-dir> [--out <store-dir>]
+//!     Recover what a damaged store still holds, per segment: every
+//!     segment that parses, CRC-verifies and decodes whole is recovered in
+//!     full, damaged segments drop whole, and a missing manifest is rebuilt
 //!     from the per-segment symbol deltas (a damaged symbol-carrying
 //!     segment then also drops the later segments that need its symbols).
 //!     Prints `salvaged R of D plans` plus what was dropped and why;
-//!     `--out` stores the recovered corpus (re-indexed). Exits 2 when
-//!     nothing could be recovered from a damaged file.
+//!     `--out` writes the recovered corpus (re-indexed) as a new store.
+//!     Exits 2 when nothing could be recovered from a damaged store.
 //! repro corpus compact <store-dir>
-//!     Merge every segment of an append-only store into one (fresh
-//!     symbol chain, fresh feature summaries), deleting the old segment
-//!     files after the manifest swaps. Read-amplification maintenance
-//!     for stores grown by many small appends.
-//! repro corpus mutate <in> <out> --op <truncate|bitflip|splice|duplicate> [--seed HEX]
-//!     Apply one seeded, reproducible corruption to a checksummed binary
-//!     corpus document and write the damaged copy — the generator behind
-//!     the CI fault-injection smoke step. Prints the mutation and, where
-//!     the codec's section map makes it provable, the exact
+//!     Merge every segment of a store into one (fresh symbol chain, fresh
+//!     feature summaries), deleting the old segment files after the
+//!     manifest swaps. Read-amplification maintenance for stores grown by
+//!     many small appends.
+//! repro corpus mutate <store-dir> <out-dir> --op <truncate|bitflip|splice|delete>
+//!                     [--seed HEX]
+//!     Copy the store and apply one seeded, reproducible fault to one of
+//!     its files (which file is chosen by the seed) — the generator behind
+//!     the CI fault-injection smoke step. Prints the fault and the exact
 //!     `expect-recoverable: N of M plans` a salvage must report.
-//! repro corpus fixture-ingest <out> [count] [--threads N] [--shards N] [--index] [--seed HEX]
-//!                             [--segmented] [--batches N]
+//! repro corpus fixture-ingest <store-dir> [count] [--threads N] [--shards N] [--seed HEX]
+//!                             [--batches N]
 //!     Ingest the seeded TPC-H-derived benchmark stream (the corpus/*
-//!     bench population, default 10000 plans) — the CI determinism gate:
-//!     everything it prints except the trailing `wrote …` line is
-//!     identical for every `--threads` value. `--segmented` writes an
-//!     append-only segment-store directory instead of one file,
-//!     splitting the stream into `--batches` appended segments (default
-//!     1) — the segmented-fleet gate diffs the resulting directories
-//!     byte for byte across thread counts.
-//! repro corpus campaign <out> [profile] [queries] [radius] [--index]
+//!     bench population, default 10000 plans) into a new store, split into
+//!     `--batches` appended segments (default 1) — the CI determinism
+//!     gate: everything it prints except the trailing `wrote …` line is
+//!     identical for every `--threads` value, and so are the store files.
+//! repro corpus campaign <store-dir> [profile] [queries] [radius]
 //!     Run a QPG campaign on an embedded engine profile (postgres, mysql,
-//!     tidb, sqlite) and persist every distinct observed plan.
-//! repro corpus stats <corpus>
-//!     Statistics of a stored corpus (binary or JSON lines), plus how its
-//!     metric index came to be: `persisted (0 TED evaluations on load)`
-//!     for indexed v2 documents, `rebuilt (N TED evaluations on load)`
-//!     otherwise. Stored files carry the distinct plan set only;
-//!     observed/duplicate counters are session-local and are printed by
-//!     ingest/campaign at observation time. For a segment-store
-//!     directory, prints the per-segment census instead: plans and
-//!     on-disk bytes per section (plan blocks vs symbols vs BK index vs
-//!     feature rows vs offset/fingerprint tables) for every segment.
-//! repro corpus cluster <corpus> [radius] [--dot] [--threads N]
+//!     tidb, sqlite) and persist every distinct observed plan as a new
+//!     store.
+//! repro corpus stats <store-dir>
+//!     Statistics of a store, how its metric index came to be
+//!     (`persisted (0 TED evaluations on load)`), and the per-segment
+//!     census: plans and on-disk bytes per section (plan blocks vs symbols
+//!     vs BK index vs feature rows vs offset/fingerprint tables). Stores
+//!     hold the distinct plan set only; observed/duplicate counters are
+//!     session-local and are printed by ingest/campaign at observation
+//!     time.
+//! repro corpus cluster <store-dir> [radius] [--dot] [--threads N]
 //!     Near-duplicate clusters at a TED radius (default 2), rendered as a
 //!     text report or Graphviz DOT. `--threads` fans each radius query
 //!     out across the corpus shards (identical clusters and TED counts).
-//! repro corpus diff <left> <right> [radius]
+//! repro corpus diff <left-store> <right-store> [radius]
 //!     Cross-corpus comparison: shared fingerprints, unique plans, and
 //!     which unique plans have no near-duplicate (within radius, default 2)
 //!     on the other side.
-//! repro corpus query <corpus> <knn|radius|cluster|stats> [--k N] [--radius R]
+//! repro corpus query <store-dir> <knn|radius|cluster|stats> [--k N] [--radius R]
 //!                    [--probe <plan.json>] [--probe-raw <record>] [--budget N]
 //!                    [--threads N] [--json]
 //!     Run one query through the unified request vocabulary — the same
@@ -102,34 +101,35 @@
 //!     tripped budget is an *operational* failure (exit 1), distinct from
 //!     bad arguments (exit 2). `--json` emits the exact `QueryResponse`
 //!     wire document the server sends.
-//! repro corpus open-gate <store-dir> <monolithic> [--k N] [--probes N]
+//! repro corpus open-gate <store-dir> <reference-store> [--k N] [--probes N]
 //!                    [--min-speedup F]
 //!     The lazy-load contract, measured: times open-and-first-query on a
-//!     segment store against a full decode (read + parse + same query) of
-//!     the monolithic document holding the same corpus, asserts that every
-//!     recall-gate probe answers with an identical `QueryResponse` —
-//!     matches *and* `QueryCost`, exact and approximate — on both loads,
-//!     and exits 1 when the measured speedup falls below the floor
-//!     (default 5x). The corpus-scale CI job drives this at the
-//!     100k-observation fixture size.
-//! repro corpus serve <corpus> [--addr HOST:PORT] [--threads N] [--queue N]
-//!                    [--merge-threads N] [--merge-interval-ms N] [--save <path>]
-//!     Serve the corpus over HTTP/1.1 + JSON on a snapshot/delta epoch
+//!     store against an eager full decode (open + every plan body decoded
+//!     + same query) of a reference store holding the same corpus in a
+//!     different segmentation, asserts that every recall-gate probe
+//!     answers with an identical `QueryResponse` — matches *and*
+//!     `QueryCost`, exact and approximate — on both, and exits 1 when the
+//!     measured speedup falls below the floor (default 5x). The
+//!     corpus-scale CI job drives this at the 100k-observation fixture
+//!     size, 4 segments against 1.
+//! repro corpus serve <store-dir> [--addr HOST:PORT] [--threads N] [--queue N]
+//!                    [--merge-threads N] [--merge-interval-ms N]
+//!     Serve the store over HTTP/1.1 + JSON on a snapshot/delta epoch
 //!     model: lock-free k-NN/radius reads against epoch-consistent
-//!     snapshots while POST /ingest batches merge in the background.
-//!     Blocks until POST /shutdown, then drains gracefully and prints the
-//!     per-endpoint latency histograms; `--save` persists the final
-//!     snapshot (indexed). Serving a segment-store *directory* opens it
-//!     lazily and turns every epoch merge into a segment append — the
-//!     directory is always current, no `--save` needed.
+//!     snapshots while POST /ingest batches merge in the background. The
+//!     open is lazy, and every epoch merge appends one segment, so the
+//!     directory is always current. Blocks until POST /shutdown, then
+//!     drains gracefully and prints the per-endpoint latency histograms.
 //! repro corpus sources
 //!     List the accepted ingest source names.
 //! ```
 
 use minidb::profile::EngineProfile;
 use uplan_convert::{convert, RawIngestOptions, Source};
+use uplan_core::fingerprint::FingerprintOptions;
+use uplan_core::UnifiedPlan;
 use uplan_corpus::{
-    AppendReport, PlanCorpus, QueryError, QueryOutcome, QueryRequest, SegmentStore, DEFAULT_SHARDS,
+    encode_store, PlanCorpus, QueryError, QueryOutcome, QueryRequest, SegmentStore, DEFAULT_SHARDS,
 };
 use uplan_testing::generator::Generator;
 use uplan_testing::inject;
@@ -195,14 +195,15 @@ pub fn run(args: &[String]) -> i32 {
 }
 
 fn usage() -> String {
-    "usage: repro corpus <ingest|raw-fixture|raw-check|fixture-ingest|campaign|stats|cluster|\
-     diff|query|recall|open-gate|serve|salvage|mutate|compact|sources> ... \
+    "usage: repro corpus <import|ingest|raw-fixture|raw-check|fixture-ingest|campaign|stats|\
+     cluster|diff|query|recall|open-gate|serve|salvage|mutate|compact|sources> ... \
      (see crates/bench/src/corpus_cli.rs docs)"
         .to_owned()
 }
 
 fn run_inner(args: &[String]) -> Result<String, CliError> {
     match args.first().map(String::as_str) {
+        Some("import") => import(&args[1..]),
         Some("ingest") => ingest(&args[1..]),
         Some("raw-fixture") => raw_fixture(&args[1..]),
         Some("raw-check") => raw_check(&args[1..]),
@@ -252,90 +253,76 @@ fn take_value<T: std::str::FromStr>(
         .map_err(|_| format!("bad {name} value {raw:?}"))
 }
 
-// Failing to write an output the arguments merely *name* is the
-// environment's fault, not the input's.
-fn save(corpus: &PlanCorpus, path: &str, indexed: bool) -> Result<(), CliError> {
-    let result = if path.ends_with(".jsonl") {
-        std::fs::write(path, corpus.to_jsonl()).map_err(|e| format!("{e}"))
-    } else if indexed {
-        corpus.save_indexed(path).map_err(|e| e.to_string())
-    } else {
-        corpus.save(path).map_err(|e| e.to_string())
-    };
-    result.map_err(|e| CliError::Operational(format!("cannot write {path}: {e}")))
+/// Why `path` could not be opened as a store, with the way out for the
+/// legacy corpus files every command but `import` refuses.
+fn not_a_store(path: &str, error: impl std::fmt::Display) -> String {
+    format!(
+        "cannot open segment store {path}: {error}\n\
+         (corpora are store directories; convert a monolithic .uplanc or .jsonl \
+         corpus with `repro corpus import <file> <store-dir>`)"
+    )
 }
 
-/// `--append` support: an existing `<out>` is loaded and grown in place
-/// (keeping its own shard layout); otherwise ingest starts fresh.
-fn open_for_ingest(out: &str, append: bool, shards: usize) -> Result<PlanCorpus, CliError> {
-    if append && std::path::Path::new(out).exists() {
-        load(out)
-    } else {
-        Ok(PlanCorpus::with_shards(shards))
+/// Opens the store at `path` (lazily: plan payloads stay on disk until a
+/// query touches them).
+fn open_store(path: &str) -> Result<SegmentStore, CliError> {
+    SegmentStore::open(path).map_err(|e| CliError::Input(not_a_store(path, e)))
+}
+
+fn load(path: &str) -> Result<PlanCorpus, CliError> {
+    open_store(path).map(SegmentStore::into_corpus)
+}
+
+/// Writes `corpus` as a new store at `out`, which must not exist yet: a
+/// command never replaces a corpus it was not asked to append to.
+fn create_store(out: &str, corpus: PlanCorpus) -> Result<SegmentStore, CliError> {
+    if std::path::Path::new(out).exists() {
+        return Err(format!("{out} already exists; name a new store directory").into());
     }
+    // Failing to write an output the arguments merely *name* is the
+    // environment's fault, not the input's.
+    SegmentStore::create(out, corpus)
+        .map_err(|e| CliError::Operational(format!("cannot create segment store {out}: {e}")))
 }
 
-/// Appends one batch to the segment store at `dir`, creating the store
-/// first when the directory is not one yet. Cost is O(batch): one new
-/// segment file plus a manifest rewrite — the existing segments are never
-/// touched.
-fn append_batch(
-    dir: &str,
-    plans: &[uplan_core::UnifiedPlan],
+/// Persists an ingested batch: appended to the existing store at `out` as
+/// one new segment (`--append`; cost O(batch), existing segments never
+/// touched), or written as a new store.
+fn store_batch(
+    out: &str,
+    append: bool,
+    staging: PlanCorpus,
     threads: usize,
-    shards: usize,
-) -> Result<(SegmentStore, AppendReport), CliError> {
-    let mut store = if SegmentStore::is_store_dir(dir) {
-        SegmentStore::open(dir)
-            .map_err(|e| CliError::Input(format!("cannot open segment store {dir}: {e}")))?
-    } else {
-        SegmentStore::create(dir, PlanCorpus::with_shards(shards))
-            .map_err(|e| CliError::Operational(format!("cannot create segment store {dir}: {e}")))?
-    };
+) -> Result<String, CliError> {
+    if !append {
+        let store = create_store(out, staging)?;
+        return Ok(format!(
+            "{}\nwrote {out} ({} segment(s))",
+            summary(store.corpus()),
+            store.census().len()
+        ));
+    }
+    let mut store = open_store(out)?;
+    let plans: Vec<UnifiedPlan> = staging.iter().map(|(_, plan)| plan.clone()).collect();
     let report = store
-        .append(plans, threads)
-        .map_err(|e| CliError::Operational(format!("cannot append to {dir}: {e}")))?;
-    Ok((store, report))
-}
-
-/// The report block a segmented ingest prints in place of `wrote <out>`.
-fn append_summary(dir: &str, store: &SegmentStore, report: &AppendReport) -> String {
+        .append(&plans, threads)
+        .map_err(|e| CliError::Operational(format!("cannot append to {out}: {e}")))?;
     let segment = match report.segment_id {
         Some(id) => format!("segment {id} ({} bytes)", report.segment_bytes),
         None => "no segment (batch was all duplicates)".to_owned(),
     };
-    format!(
+    Ok(format!(
         "appended {segment}: {} of {} plan(s) admitted, {} duplicate(s)\n{}\n\
-         wrote {dir} ({} segment(s))",
+         wrote {out} ({} segment(s))",
         report.admitted,
         report.observed,
         report.duplicates,
         summary(store.corpus()),
         store.census().len()
-    )
+    ))
 }
 
-// Reading and parsing split the exit code: an unreadable path is
-// operational (exit 1), an unparseable file is bad input (exit 2).
-fn load(path: &str) -> Result<PlanCorpus, CliError> {
-    // A directory is a segment store: manifest and index sections decode
-    // eagerly, plan payloads stay on disk until a query touches them.
-    if std::path::Path::new(path).is_dir() {
-        return SegmentStore::open(path)
-            .map(SegmentStore::into_corpus)
-            .map_err(|e| CliError::Input(format!("cannot load corpus {path}: {e}")));
-    }
-    let bytes = std::fs::read(path)
-        .map_err(|e| CliError::Operational(format!("cannot read corpus {path}: {e}")))?;
-    let parsed = if bytes.starts_with(&uplan_core::formats::binary::BINARY_MAGIC) {
-        PlanCorpus::from_binary(&bytes)
-    } else {
-        PlanCorpus::from_jsonl(&String::from_utf8_lossy(&bytes))
-    };
-    parsed.map_err(|e| CliError::Input(format!("cannot load corpus {path}: {e}")))
-}
-
-/// Durable facts about a corpus — what a stored file can actually answer.
+/// Durable facts about a corpus — what a store can actually answer.
 fn summary(corpus: &PlanCorpus) -> String {
     let stats = corpus.stats();
     format!(
@@ -355,14 +342,41 @@ fn session_summary(corpus: &PlanCorpus) -> String {
     )
 }
 
+/// `repro corpus import`: the one command that reads a legacy corpus file
+/// (UPLN document or JSON lines, see `PlanCorpus::from_legacy`). The
+/// decode is strict, and the store is created only once the whole input
+/// decoded — a damaged file leaves nothing behind.
+fn import(args: &[String]) -> Result<String, CliError> {
+    let [input, out] = args else {
+        return Err("usage: repro corpus import <corpus.uplanc|corpus.jsonl> <store-dir>".into());
+    };
+    let bytes = std::fs::read(input)
+        .map_err(|e| CliError::Operational(format!("cannot read {input}: {e}")))?;
+    let corpus = PlanCorpus::from_legacy(&bytes)
+        .map_err(|e| CliError::Input(format!("cannot import {input}: {e}")))?;
+    let index = format!(
+        "{} ({} TED evaluations)",
+        if corpus.has_persisted_index() {
+            "adopted"
+        } else {
+            "rebuilt"
+        },
+        corpus.index_evals()
+    );
+    let store = create_store(out, corpus)?;
+    Ok(format!(
+        "imported {input}: {}\nindex: {index}\nwrote {out} ({} segment(s))",
+        summary(store.corpus()),
+        store.census().len()
+    ))
+}
+
 fn ingest(args: &[String]) -> Result<String, CliError> {
     let mut args = args.to_vec();
     let threads: usize = take_value(&mut args, "--threads")?.unwrap_or(1);
     let shards: usize = take_value(&mut args, "--shards")?.unwrap_or(DEFAULT_SHARDS);
-    let indexed = take_flag(&mut args, "--index");
     let raw = take_flag(&mut args, "--raw");
     let append = take_flag(&mut args, "--append");
-    let segmented = take_flag(&mut args, "--segmented");
     let lenient = take_flag(&mut args, "--lenient");
     let max_errors: usize = take_value(&mut args, "--max-errors")?.unwrap_or(0);
     let quarantine: Option<String> = take_value(&mut args, "--quarantine")?;
@@ -372,7 +386,7 @@ fn ingest(args: &[String]) -> Result<String, CliError> {
             max_errors,
             quarantine: quarantine.map(std::path::PathBuf::from),
         };
-        return ingest_raw_dumps(&args, threads, shards, indexed, append, segmented, &options);
+        return ingest_raw_dumps(&args, threads, shards, append, &options);
     }
     if lenient || max_errors != 0 || quarantine.is_some() {
         return Err("--lenient/--max-errors/--quarantine only apply to --raw ingest".into());
@@ -381,10 +395,10 @@ fn ingest(args: &[String]) -> Result<String, CliError> {
         [out, source, files @ ..] if !files.is_empty() => (out, source, files),
         _ => {
             return Err(
-                "usage: repro corpus ingest <out> <source> <explain-file>... \
-                 [--threads N] [--shards N] [--index], or \
-                 repro corpus ingest <out> --raw <dump.jsonl>... \
-                 [--threads N] [--shards N] [--index]"
+                "usage: repro corpus ingest <store-dir> <source> <explain-file>... \
+                 [--threads N] [--shards N] [--append], or \
+                 repro corpus ingest <store-dir> --raw <dump.jsonl>... \
+                 [--threads N] [--shards N] [--append]"
                     .into(),
             )
         }
@@ -396,26 +410,14 @@ fn ingest(args: &[String]) -> Result<String, CliError> {
             .map_err(|e| CliError::Operational(format!("cannot read {file}: {e}")))?;
         plans.push(convert(source, &text).map_err(|e| format!("{file}: {e}"))?);
     }
-    // A segment store is append-only by construction: every ingest into
-    // one is an `--append` whether the flag was given or not.
-    if segmented || SegmentStore::is_store_dir(out) {
-        let (store, report) = append_batch(out, &plans, threads, shards)?;
-        return Ok(format!(
-            "ingested {} file(s) via {}\n{}",
-            files.len(),
-            source.name(),
-            append_summary(out, &store, &report)
-        ));
-    }
-    let mut corpus = open_for_ingest(out, append, shards)?;
-    corpus.ingest_parallel(&plans, threads);
-    save(&corpus, out, indexed)?;
+    let mut staging = PlanCorpus::with_shards(shards);
+    staging.ingest_parallel(&plans, threads);
+    let session = session_summary(&staging);
     Ok(format!(
-        "ingested {} file(s) via {}: {}\n{}\nwrote {out}",
+        "ingested {} file(s) via {}: {session}\n{}",
         files.len(),
         source.name(),
-        session_summary(&corpus),
-        summary(&corpus)
+        store_batch(out, append, staging, threads)?
     ))
 }
 
@@ -425,35 +427,30 @@ fn ingest_raw_dumps(
     args: &[String],
     threads: usize,
     shards: usize,
-    indexed: bool,
     append: bool,
-    segmented: bool,
     options: &RawIngestOptions,
 ) -> Result<String, CliError> {
     let (out, dumps) = match args {
         [out, dumps @ ..] if !dumps.is_empty() => (out, dumps),
         _ => {
-            return Err("usage: repro corpus ingest <out> --raw <dump.jsonl>... \
-                 [--threads N] [--shards N] [--index] [--append] [--segmented] \
+            return Err(
+                "usage: repro corpus ingest <store-dir> --raw <dump.jsonl>... \
+                 [--threads N] [--shards N] [--append] \
                  [--lenient] [--max-errors N] [--quarantine <file>]"
-                .into())
+                    .into(),
+            )
         }
     };
-    // Segment target: convert into a staging corpus (batch-local dedup),
-    // then append the staged plans as one new segment.
-    let store_target = segmented || SegmentStore::is_store_dir(out);
-    let mut corpus = if store_target {
-        PlanCorpus::with_shards(shards)
-    } else {
-        open_for_ingest(out, append, shards)?
-    };
+    // Convert into a staging corpus (batch-local dedup), then store the
+    // staged plans as one segment.
+    let mut staging = PlanCorpus::with_shards(shards);
     let mut lines = 0usize;
     let mut skipped = 0usize;
     let mut censuses = Vec::new();
     for dump in dumps {
         let text = std::fs::read_to_string(dump)
             .map_err(|e| CliError::Operational(format!("cannot read {dump}: {e}")))?;
-        let report = uplan_convert::ingest_raw_with(&text, &mut corpus, threads, options)
+        let report = uplan_convert::ingest_raw_with(&text, &mut staging, threads, options)
             .map_err(|e| CliError::Input(format!("{dump}: {e}")))?;
         lines += report.lines;
         skipped += report.errors.len();
@@ -475,25 +472,12 @@ fn ingest_raw_dumps(
     } else {
         format!("\nlenient: {skipped} record(s) skipped")
     };
-    if store_target {
-        let plans: Vec<uplan_core::UnifiedPlan> =
-            corpus.iter().map(|(_, plan)| plan.clone()).collect();
-        let (store, report) = append_batch(out, &plans, threads, shards)?;
-        return Ok(format!(
-            "raw-ingested {lines} plan line(s) from {} dump(s){lenient_line}\n{}\n{}\n{}",
-            dumps.len(),
-            censuses.join("\n"),
-            session_summary(&corpus),
-            append_summary(out, &store, &report)
-        ));
-    }
-    save(&corpus, out, indexed)?;
+    let session = session_summary(&staging);
     Ok(format!(
-        "raw-ingested {lines} plan line(s) from {} dump(s){lenient_line}\n{}\n{}\n{}\nwrote {out}",
+        "raw-ingested {lines} plan line(s) from {} dump(s){lenient_line}\n{}\n{session}\n{}",
         dumps.len(),
         censuses.join("\n"),
-        session_summary(&corpus),
-        summary(&corpus)
+        store_batch(out, append, staging, threads)?
     ))
 }
 
@@ -600,8 +584,8 @@ fn raw_check(args: &[String]) -> Result<String, CliError> {
             summary(&sequential)
         )));
     }
-    let batched_bytes = batched.to_binary_indexed().map_err(|e| e.to_string())?;
-    let sequential_bytes = sequential.to_binary_indexed().map_err(|e| e.to_string())?;
+    let batched_bytes = encode_store(&batched).map_err(|e| e.to_string())?;
+    let sequential_bytes = encode_store(&sequential).map_err(|e| e.to_string())?;
     if batched_bytes != sequential_bytes {
         return Err("raw ingest corpus bytes diverged from the sequential reference".into());
     }
@@ -630,7 +614,7 @@ fn raw_check(args: &[String]) -> Result<String, CliError> {
             let mut reference = PlanCorpus::new();
             uplan_convert::ingest_raw(&valid, &mut reference, 4)
                 .map_err(|e| CliError::Input(format!("valid subset re-ingest: {e}")))?;
-            let reference_bytes = reference.to_binary_indexed().map_err(|e| e.to_string())?;
+            let reference_bytes = encode_store(&reference).map_err(|e| e.to_string())?;
             if reference_bytes != batched_bytes {
                 return Err(CliError::Input(
                     "lenient ingest diverged from strict ingest of the valid subset".into(),
@@ -641,26 +625,25 @@ fn raw_check(args: &[String]) -> Result<String, CliError> {
     }
     Ok(format!(
         "{dump_path}: {} line(s) — {}\n{}\n{}\nraw ingest == sequential per-source conversion \
-         ({} bytes, indexed){lenient_lines}",
+         ({} store bytes){lenient_lines}",
         batched_report.lines,
         batched_report.census(),
         session_summary(&batched),
         summary(&batched),
-        batched_bytes.len()
+        batched_bytes.total_bytes()
     ))
 }
 
 /// The CI gate behind the "deterministic under parallelism" and
 /// "index-free load" claims: ingests the seeded TPC-H-derived benchmark
-/// stream. Everything printed *except* the final `wrote …` line (which
-/// names the thread count) is identical for every `--threads` value, and
-/// the written files are byte-identical — CI diffs both.
+/// stream into a new store, split into `--batches` appended segments.
+/// Everything printed *except* the final `wrote …` line (which names the
+/// thread count) is identical for every `--threads` value, and the store
+/// files are byte-identical — CI diffs both.
 fn fixture_ingest(args: &[String]) -> Result<String, CliError> {
     let mut args = args.to_vec();
     let threads: usize = take_value(&mut args, "--threads")?.unwrap_or(1);
     let shards: usize = take_value(&mut args, "--shards")?.unwrap_or(DEFAULT_SHARDS);
-    let indexed = take_flag(&mut args, "--index");
-    let segmented = take_flag(&mut args, "--segmented");
     let batches: usize = take_value(&mut args, "--batches")?.unwrap_or(1);
     let seed = match take_value::<String>(&mut args, "--seed")? {
         Some(hex) => u64::from_str_radix(hex.trim_start_matches("0x"), 16)
@@ -670,9 +653,8 @@ fn fixture_ingest(args: &[String]) -> Result<String, CliError> {
     let out = match args.as_slice() {
         [out] | [out, _] => out.clone(),
         _ => {
-            return Err("usage: repro corpus fixture-ingest <out> [count] \
-                 [--threads N] [--shards N] [--index] [--seed HEX] \
-                 [--segmented] [--batches N]"
+            return Err("usage: repro corpus fixture-ingest <store-dir> [count] \
+                 [--threads N] [--shards N] [--seed HEX] [--batches N]"
                 .into())
         }
     };
@@ -680,53 +662,11 @@ fn fixture_ingest(args: &[String]) -> Result<String, CliError> {
         Some(n) => n.parse().map_err(|_| format!("bad plan count {n:?}"))?,
         None => 10_000,
     };
-    if batches != 1 && !segmented {
-        return Err("--batches needs --segmented".into());
-    }
     let stream = crate::corpus_fixture::derived_stream(count, seed);
-    if segmented {
-        return fixture_ingest_segmented(&out, &stream, threads, shards, batches, seed);
-    }
-    let mut corpus = PlanCorpus::with_shards(shards);
-    let novel = corpus.ingest_parallel(&stream, threads);
-    save(&corpus, &out, indexed)?;
-    Ok(format!(
-        "fixture-ingest: {count} TPC-H-derived plans (seed {seed:#x}, {} shards)\n\
-         {}\n{}\n{novel} fingerprint-novel plans; BK-index built with {} TED evaluations\n\
-         wrote {out} ({threads} thread(s){})",
-        corpus.shard_count(),
-        session_summary(&corpus),
-        summary(&corpus),
-        corpus.index_evals(),
-        if indexed { ", indexed" } else { "" },
-    ))
-}
-
-/// `fixture-ingest --segmented`: the stream split into `batches` appended
-/// segments. Always starts fresh (the determinism gate diffs whole
-/// directories); everything printed before the trailing `wrote …` line is
-/// identical for every `--threads` value, and so are the directory bytes.
-fn fixture_ingest_segmented(
-    out: &str,
-    stream: &[uplan_core::UnifiedPlan],
-    threads: usize,
-    shards: usize,
-    batches: usize,
-    seed: u64,
-) -> Result<String, CliError> {
-    let path = std::path::Path::new(out);
-    if path.exists() {
-        if !SegmentStore::is_store_dir(path) {
-            return Err(format!("{out} exists and is not a segment store directory").into());
-        }
-        std::fs::remove_dir_all(path)
-            .map_err(|e| CliError::Operational(format!("cannot clear {out}: {e}")))?;
-    }
-    let mut store = SegmentStore::create(out, PlanCorpus::with_shards(shards))
-        .map_err(|e| CliError::Operational(format!("cannot create segment store {out}: {e}")))?;
+    let mut store = create_store(&out, PlanCorpus::with_shards(shards))?;
     let chunk = stream.len().div_ceil(batches.max(1)).max(1);
     let mut lines = vec![format!(
-        "fixture-ingest: {} TPC-H-derived plans (seed {seed:#x}, {} shards, segmented x{batches})",
+        "fixture-ingest: {} TPC-H-derived plans (seed {seed:#x}, {} shards, {batches} batch(es))",
         stream.len(),
         store.corpus().shard_count(),
     )];
@@ -755,60 +695,17 @@ fn fixture_ingest_segmented(
     Ok(lines.join("\n"))
 }
 
-/// `repro corpus salvage`: recover what a damaged corpus file still
-/// holds, reporting exactly what was dropped.
+/// `repro corpus salvage`: recover what a damaged store still holds — the
+/// segment is the recovery unit, so damaged segments drop whole and intact
+/// ones recover in full — reporting exactly what was dropped.
 fn salvage(args: &[String]) -> Result<String, CliError> {
     let mut args = args.to_vec();
     let out: Option<String> = take_value(&mut args, "--out")?;
     let path = args
         .first()
-        .ok_or("usage: repro corpus salvage <corpus> [--out <path>]")?;
-    if std::path::Path::new(path).is_dir() {
-        return segment_salvage(path, out);
-    }
-    let (corpus, report) =
-        PlanCorpus::load_salvage(path).map_err(|e| CliError::Operational(e.to_string()))?;
-    let mut lines = vec![format!(
-        "salvaged {} of {} plans from {path} ({} dropped, {})",
-        report.recovered,
-        report.declared,
-        report.dropped,
-        if report.verified {
-            "checksum-verified"
-        } else {
-            "decodable, not verified"
-        }
-    )];
-    if let Some(error) = &report.error {
-        lines.push(format!("stopped at: {error}"));
-    }
-    if report.recovered > 0 {
-        lines.push(format!(
-            "index: {}",
-            if report.index_rebuilt {
-                "rebuilt"
-            } else {
-                "persisted"
-            }
-        ));
-        lines.push(summary(&corpus));
-    }
-    if report.recovered == 0 && report.error.is_some() {
-        return Err(CliError::Input(lines.join("\n")));
-    }
-    if let Some(out) = out {
-        save(&corpus, &out, true)?;
-        lines.push(format!("wrote {out}"));
-    }
-    Ok(lines.join("\n"))
-}
-
-/// Salvage of a segment-store directory: the segment is the recovery
-/// unit — damaged segments drop whole, intact ones recover in full.
-fn segment_salvage(path: &str, out: Option<String>) -> Result<String, CliError> {
-    let (corpus, report) =
-        SegmentStore::salvage(path, uplan_core::fingerprint::FingerprintOptions::default())
-            .map_err(|e| CliError::Operational(e.to_string()))?;
+        .ok_or("usage: repro corpus salvage <store-dir> [--out <store-dir>]")?;
+    let (corpus, report) = SegmentStore::salvage(path, FingerprintOptions::default())
+        .map_err(|e| CliError::Operational(not_a_store(path, e)))?;
     let mut lines = vec![format!(
         "salvaged {} of {} plans from {path} ({} dropped; \
          {} of {} segment(s) recovered, manifest {})",
@@ -841,7 +738,7 @@ fn segment_salvage(path: &str, out: Option<String>) -> Result<String, CliError> 
         return Err(CliError::Input(lines.join("\n")));
     }
     if let Some(out) = out {
-        save(&corpus, &out, true)?;
+        create_store(&out, corpus)?;
         lines.push(format!("wrote {out}"));
     }
     Ok(lines.join("\n"))
@@ -852,11 +749,7 @@ fn compact(args: &[String]) -> Result<String, CliError> {
     let path = args
         .first()
         .ok_or("usage: repro corpus compact <store-dir>")?;
-    if !SegmentStore::is_store_dir(path) {
-        return Err(format!("{path} is not a segment store directory").into());
-    }
-    let mut store = SegmentStore::open(path)
-        .map_err(|e| CliError::Input(format!("cannot open segment store {path}: {e}")))?;
+    let mut store = open_store(path)?;
     let report = store
         .compact()
         .map_err(|e| CliError::Operational(format!("cannot compact {path}: {e}")))?;
@@ -869,12 +762,12 @@ fn compact(args: &[String]) -> Result<String, CliError> {
     ))
 }
 
-/// `repro corpus mutate`: one seeded corruption of a checksummed binary
-/// document, with the provable salvage expectation printed for the CI
+/// `repro corpus mutate`: one seeded fault in one file of a copy of an
+/// intact store, with the exact salvage expectation printed for the CI
 /// smoke gate to compare against `repro corpus salvage`.
 fn mutate(args: &[String]) -> Result<String, CliError> {
-    let usage = "usage: repro corpus mutate <in> <out> \
-                 --op <truncate|bitflip|splice|duplicate> [--seed HEX]";
+    let usage = "usage: repro corpus mutate <store-dir> <out-dir> \
+                 --op <truncate|bitflip|splice|delete> [--seed HEX]";
     let mut args = args.to_vec();
     let op: String = take_value(&mut args, "--op")?.ok_or(usage)?;
     let seed = match take_value::<String>(&mut args, "--seed")? {
@@ -882,45 +775,37 @@ fn mutate(args: &[String]) -> Result<String, CliError> {
             .map_err(|_| format!("bad --seed value {hex:?}"))?,
         None => 0xFA_017,
     };
-    let (input, out) = match args.as_slice() {
-        [input, out] => (input, out),
-        _ => return Err(usage.into()),
+    let [input, out] = args.as_slice() else {
+        return Err(usage.into());
     };
-    let bytes = std::fs::read(input)
-        .map_err(|e| CliError::Operational(format!("cannot read {input}: {e}")))?;
-    let sections = uplan_core::formats::binary::section_map(&bytes).map_err(|e| {
-        CliError::Input(format!(
-            "{input}: mutate needs an intact binary corpus document: {e}"
-        ))
-    })?;
-    let total = sections.last().map_or(0, |s| s.plans);
-    let mutation = match op.as_str() {
-        "truncate" => {
-            let cuts = inject::truncation_plan(&sections);
-            cuts[(seed as usize) % cuts.len()].clone()
-        }
-        "bitflip" => inject::bitflip_past_header(&sections, seed)
-            .ok_or_else(|| format!("{input}: document too small to mutate"))?,
-        "splice" => inject::splice_past_header(&sections, seed)
-            .ok_or_else(|| format!("{input}: document too small to mutate"))?,
-        "duplicate" => {
-            let dups = inject::duplicate_block_plan(&sections);
-            if dups.is_empty() {
-                return Err(format!("{input}: document too small to mutate").into());
-            }
-            dups[(seed as usize) % dups.len()].clone()
-        }
+    let census: Vec<(u32, u64)> = open_store(input)?
+        .census()
+        .iter()
+        .map(|row| (row.id, row.plans))
+        .collect();
+    let total: u64 = census.iter().map(|(_, plans)| plans).sum();
+    let dir = std::path::Path::new(input);
+    let plan = match op.as_str() {
+        "truncate" => inject::store_truncate_plan(dir, seed),
+        "bitflip" => inject::store_bitflip_plan(dir, seed),
+        "splice" => inject::store_splice_plan(dir, seed),
+        "delete" => inject::store_delete_plan(dir),
         other => return Err(format!("unknown --op {other:?}; {usage}").into()),
-    };
-    let expectation = match inject::expected_recoverable(&sections, &mutation) {
-        Some(n) => format!("expect-recoverable: {n} of {total} plans"),
-        None => "expect-recoverable: unknown (duplicated blocks re-verify)".to_owned(),
-    };
-    std::fs::write(out, mutation.apply(&bytes))
+    }
+    .map_err(|e| CliError::Operational(format!("cannot read {input}: {e}")))?;
+    // The manifest is always listed, so the plan is never empty.
+    let fault = &plan[(seed as usize) % plan.len()];
+    if std::path::Path::new(out).exists() {
+        return Err(format!("{out} already exists; name a new directory").into());
+    }
+    fault
+        .apply_to_copy(dir, std::path::Path::new(out))
         .map_err(|e| CliError::Operational(format!("cannot write {out}: {e}")))?;
+    let expected = inject::expected_store_recovery(&census, fault);
     Ok(format!(
-        "mutate: {} (seed {seed:#x})\n{expectation}\nwrote {out}",
-        mutation.describe()
+        "mutate: {} (seed {seed:#x})\nexpect-recoverable: {} of {total} plans\nwrote {out}",
+        fault.describe(),
+        expected.recovered
     ))
 }
 
@@ -939,11 +824,9 @@ fn parse_profile(name: &str) -> Result<EngineProfile, String> {
 }
 
 fn campaign(args: &[String]) -> Result<String, CliError> {
-    let mut args = args.to_vec();
-    let indexed = take_flag(&mut args, "--index");
     let out = args
         .first()
-        .ok_or("usage: repro corpus campaign <out> [profile] [queries] [radius] [--index]")?;
+        .ok_or("usage: repro corpus campaign <store-dir> [profile] [queries] [radius]")?;
     let profile = match args.get(1) {
         Some(name) => parse_profile(name)?,
         None => EngineProfile::Postgres,
@@ -968,43 +851,32 @@ fn campaign(args: &[String]) -> Result<String, CliError> {
             ..QpgConfig::default()
         },
     );
-    save(&outcome.corpus, out, indexed)?;
-    Ok(format!(
+    let report = format!(
         "campaign on {profile}: {} queries, {} mutations, {} oracle failures\n{}\n{}\nwrote {out}",
         outcome.queries,
         outcome.mutations,
         outcome.failures.len(),
         session_summary(&outcome.corpus),
         summary(&outcome.corpus)
-    ))
+    );
+    create_store(out, outcome.corpus)?;
+    Ok(report)
 }
 
-fn stats(args: &[String]) -> Result<String, CliError> {
-    let path = args.first().ok_or("usage: repro corpus stats <corpus>")?;
-    if SegmentStore::is_store_dir(path) {
-        return segment_stats(path);
-    }
-    let corpus = load(path)?;
-    let index = if corpus.has_persisted_index() {
-        format!(
-            "persisted ({} TED evaluations on load)",
-            corpus.index_evals()
-        )
-    } else {
-        format!("rebuilt ({} TED evaluations on load)", corpus.index_evals())
-    };
-    Ok(format!("{path}: {}\nindex: {index}", summary(&corpus)))
-}
-
-/// `repro corpus stats` on a segment-store directory: the corpus summary
-/// (from manifest counters — zero plan decodes) plus the per-segment
+/// `repro corpus stats`: the corpus summary (from manifest counters — zero
+/// plan decodes), how the metric index came to be, and the per-segment
 /// on-disk byte census, section by section.
-fn segment_stats(path: &str) -> Result<String, CliError> {
-    let store = SegmentStore::open(path)
-        .map_err(|e| CliError::Input(format!("cannot load corpus {path}: {e}")))?;
+fn stats(args: &[String]) -> Result<String, CliError> {
+    let path = args
+        .first()
+        .ok_or("usage: repro corpus stats <store-dir>")?;
+    let store = open_store(path)?;
     let mut lines = vec![
         format!("{path}: {}", summary(store.corpus())),
-        "index: persisted (0 TED evaluations on load)".to_owned(),
+        format!(
+            "index: persisted ({} TED evaluations on load)",
+            store.corpus().index_evals()
+        ),
         format!("segments: {}", store.census().len()),
     ];
     let mut total = 0usize;
@@ -1028,7 +900,7 @@ fn segment_stats(path: &str) -> Result<String, CliError> {
     }
     lines.push(format!(
         "  on disk: {total} segment bytes + {} manifest bytes",
-        std::fs::metadata(std::path::Path::new(path).join("manifest.uplm"))
+        std::fs::metadata(store.dir().join(uplan_corpus::MANIFEST_FILE))
             .map(|m| m.len())
             .unwrap_or(0)
     ));
@@ -1296,29 +1168,25 @@ fn recall(args: &[String]) -> Result<String, CliError> {
 }
 
 /// `repro corpus open-gate` — the lazy-load contract, measured. Times
-/// open-and-first-query on a segment store against a full decode of the
-/// monolithic document holding the same corpus, asserts every
-/// recall-gate probe answers identically (matches *and* [`QueryCost`],
-/// exact and approximate k-NN) on both loads, and fails operationally
-/// when the measured speedup misses the floor — so the corpus-scale CI
-/// job can gate on the command directly.
+/// open-and-first-query on a store against an eager full decode of a
+/// reference store holding the same corpus in another segmentation,
+/// asserts every recall-gate probe answers identically (matches *and*
+/// [`QueryCost`](uplan_corpus::query::QueryCost), exact and approximate
+/// k-NN) on both, and fails operationally when the measured speedup misses
+/// the floor — so the corpus-scale CI job can gate on the command
+/// directly.
 fn open_gate(args: &[String]) -> Result<String, CliError> {
     let mut args = args.to_vec();
     let k: usize = take_value(&mut args, "--k")?.unwrap_or(5);
     let probe_count: usize = take_value(&mut args, "--probes")?.unwrap_or(24);
     let min_speedup: f64 = take_value(&mut args, "--min-speedup")?.unwrap_or(5.0);
-    let [store_path, mono_path] = args.as_slice() else {
+    let [store_path, reference_path] = args.as_slice() else {
         return Err(
-            "usage: repro corpus open-gate <store-dir> <monolithic> [--k N] [--probes N] \
+            "usage: repro corpus open-gate <store-dir> <reference-store> [--k N] [--probes N] \
              [--min-speedup F]"
                 .into(),
         );
     };
-    if !SegmentStore::is_store_dir(store_path) {
-        return Err(CliError::Input(format!(
-            "{store_path}: not a segment store directory"
-        )));
-    }
     let probes = crate::corpus_fixture::derived_stream(probe_count, 0x004e_ca11);
     let first = QueryRequest::knn(k)
         .with_probe(probes.first().expect("at least one probe").clone())
@@ -1326,35 +1194,34 @@ fn open_gate(args: &[String]) -> Result<String, CliError> {
     let query_err = |e: QueryError| CliError::Input(e.to_string());
 
     // Timed halves, best of three. Both sides pay their full cold path:
-    // the store open reads and parses every manifest/index section (plan
-    // payloads stay on disk), the monolithic side reads and decodes the
-    // whole document before it can answer anything.
+    // the lazy open reads and parses every manifest/index section (plan
+    // payloads stay on disk); the eager side also decodes every plan body
+    // (block CRCs verified, TED views flattened) before it answers.
     let mut lazy_secs = f64::INFINITY;
     for _ in 0..3 {
         let t = std::time::Instant::now();
-        let store = SegmentStore::open(store_path)
-            .map_err(|e| CliError::Input(format!("cannot load corpus {store_path}: {e}")))?;
+        let store = open_store(store_path)?;
         store.corpus().execute(&first).map_err(query_err)?;
         lazy_secs = lazy_secs.min(t.elapsed().as_secs_f64());
     }
-    let mut mono_secs = f64::INFINITY;
+    let mut eager_secs = f64::INFINITY;
     for _ in 0..3 {
         let t = std::time::Instant::now();
-        let bytes = std::fs::read(mono_path)
-            .map_err(|e| CliError::Operational(format!("cannot read corpus {mono_path}: {e}")))?;
-        let corpus = PlanCorpus::from_binary(&bytes)
-            .map_err(|e| CliError::Input(format!("cannot load corpus {mono_path}: {e}")))?;
+        let corpus = load(reference_path)?;
+        for (_, plan) in corpus.iter() {
+            std::hint::black_box(plan);
+        }
         corpus.execute(&first).map_err(query_err)?;
-        mono_secs = mono_secs.min(t.elapsed().as_secs_f64());
+        eager_secs = eager_secs.min(t.elapsed().as_secs_f64());
     }
-    let speedup = mono_secs / lazy_secs;
+    let speedup = eager_secs / lazy_secs;
 
-    // Identity half: the lazy load must answer the recall-gate probes —
+    // Identity half: the lazy store must answer the recall-gate probes —
     // exact and approximate — with byte-for-byte the same responses
     // (matches, epoch-free cost counters, everything `QueryResponse`
-    // compares) the monolithic load produces.
+    // compares) the differently segmented reference produces.
     let lazy = load(store_path)?;
-    let mono = load(mono_path)?;
+    let reference = load(reference_path)?;
     let mut answered = 0usize;
     for (i, probe) in probes.iter().enumerate() {
         for request in [
@@ -1362,12 +1229,12 @@ fn open_gate(args: &[String]) -> Result<String, CliError> {
             QueryRequest::knn(k).with_probe(probe.clone()).approx(0),
         ] {
             let lazy_response = lazy.execute(&request).map_err(query_err)?;
-            let mono_response = mono.execute(&request).map_err(query_err)?;
-            if lazy_response != mono_response {
+            let reference_response = reference.execute(&request).map_err(query_err)?;
+            if lazy_response != reference_response {
                 return Err(CliError::Operational(format!(
-                    "probe {i}: lazy and monolithic answers diverge\n\
-                     lazy:       {lazy_response:?}\n\
-                     monolithic: {mono_response:?}"
+                    "probe {i}: store and reference answers diverge\n\
+                     store:     {lazy_response:?}\n\
+                     reference: {reference_response:?}"
                 )));
             }
             answered += 1;
@@ -1375,12 +1242,12 @@ fn open_gate(args: &[String]) -> Result<String, CliError> {
     }
 
     let report = format!(
-        "{store_path}: open-and-first-query {:.1}ms vs monolithic decode {:.1}ms \
+        "{store_path}: open-and-first-query {:.1}ms vs full decode of {reference_path} {:.1}ms \
          ({speedup:.1}x faster; floor {min_speedup}x)\n\
          {answered} response(s) over {} probe(s) (exact + approx k-NN, k {k}): \
-         answers and QueryCost identical to the monolithic load",
+         answers and QueryCost identical to the reference store",
         lazy_secs * 1e3,
-        mono_secs * 1e3,
+        eager_secs * 1e3,
         probes.len(),
     );
     if speedup < min_speedup {
@@ -1403,12 +1270,11 @@ fn serve(args: &[String]) -> Result<String, CliError> {
     let merge_threads: usize =
         take_value(&mut args, "--merge-threads")?.unwrap_or(defaults.merge_threads);
     let merge_interval_ms: Option<u64> = take_value(&mut args, "--merge-interval-ms")?;
-    let save_path: Option<String> = take_value(&mut args, "--save")?;
     let slow_query_us: u64 = take_value(&mut args, "--slow-query-us")?.unwrap_or(0);
     let slow_query_evals: u64 = take_value(&mut args, "--slow-query-evals")?.unwrap_or(0);
     let path = args.first().ok_or(
-        "usage: repro corpus serve <corpus> [--addr HOST:PORT] [--threads N] [--queue N] \
-         [--merge-threads N] [--merge-interval-ms N] [--save <path>] \
+        "usage: repro corpus serve <store-dir> [--addr HOST:PORT] [--threads N] [--queue N] \
+         [--merge-threads N] [--merge-interval-ms N] \
          [--slow-query-us N] [--slow-query-evals N]",
     )?;
     let config = ServerConfig {
@@ -1422,50 +1288,28 @@ fn serve(args: &[String]) -> Result<String, CliError> {
         slow_query_us,
         slow_query_evals,
     };
-    // A segment-store directory serves lazily and persistently: the open
-    // decodes manifest + index sections only, and every epoch merge
-    // appends one segment — the directory is always current.
-    let (server, plans, segmented) = if SegmentStore::is_store_dir(path) {
-        let store = SegmentStore::open(path)
-            .map_err(|e| CliError::Input(format!("cannot load corpus {path}: {e}")))?;
-        let plans = store.corpus().len();
-        let service = uplan_corpus::service::CorpusService::with_store(store, queue_capacity);
-        let state = uplan_serve::ServeState::from_service(service, merge_threads);
-        let server = Server::bind_with_state(config, state)
-            .map_err(|e| CliError::Operational(format!("cannot bind the server: {e}")))?;
-        (server, plans, true)
-    } else {
-        let corpus = load(path)?;
-        let plans = corpus.len();
-        let server = Server::bind(config, corpus)
-            .map_err(|e| CliError::Operational(format!("cannot bind the server: {e}")))?;
-        (server, plans, false)
-    };
+    // The open decodes manifest + index sections only, and every epoch
+    // merge appends one segment — the directory is always current.
+    let store = open_store(path)?;
+    let plans = store.corpus().len();
+    let service = uplan_corpus::service::CorpusService::with_store(store, queue_capacity);
+    let state = uplan_serve::ServeState::from_service(service, merge_threads);
+    let server = Server::bind_with_state(config, state)
+        .map_err(|e| CliError::Operational(format!("cannot bind the server: {e}")))?;
     let state = server.state();
     println!(
-        "serving {path} ({plans} distinct plans{}) at http://{} with {threads} worker(s); \
-         POST /shutdown to stop",
-        if segmented {
-            ", segment store: merges append segments"
-        } else {
-            ""
-        },
+        "serving {path} ({plans} distinct plans; merges append segments) at http://{} \
+         with {threads} worker(s); POST /shutdown to stop",
         server.local_addr()
     );
     let snapshot = server
         .run()
         .map_err(|e| CliError::Operational(format!("server failed: {e}")))?;
-    if let Some(out) = &save_path {
-        save(snapshot.corpus(), out, true)?;
-    }
     Ok(format!(
-        "served {} request(s); final epoch {}, {} distinct plans{}\nmetrics: {}",
+        "served {} request(s); final epoch {}, {} distinct plans\nmetrics: {}",
         state.metrics().requests(),
         snapshot.epoch(),
         snapshot.corpus().len(),
-        save_path
-            .map(|p| format!("\nwrote {p}"))
-            .unwrap_or_default(),
         state.metrics().to_json_value().to_compact()
     ))
 }
@@ -1479,13 +1323,37 @@ mod tests {
     }
 
     /// Per-process temp path: concurrent test runs (two checkouts, two CI
-    /// jobs) must not share fixture files.
+    /// jobs) must not share fixture files. Cleared on entry, so a crashed
+    /// earlier run cannot trip the commands' "already exists" guard.
     fn temp(name: &str) -> String {
-        std::env::temp_dir()
-            .join(format!("{}_{name}", std::process::id()))
-            .to_string_lossy()
-            .into_owned()
+        let path = std::env::temp_dir().join(format!("{}_{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        let _ = std::fs::remove_file(&path);
+        path.to_string_lossy().into_owned()
     }
+
+    /// Every file of a store directory, by name.
+    fn store_files(dir: &str) -> std::collections::BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let entry = entry.unwrap();
+                (
+                    entry.file_name().to_string_lossy().into_owned(),
+                    std::fs::read(entry.path()).unwrap(),
+                )
+            })
+            .collect()
+    }
+
+    const TIDB_PLAN: &str = "\
++-----------------------+---------+-----------+---------------+---------------+
+| id                    | estRows | task      | access object | operator info |
++-----------------------+---------+-----------+---------------+---------------+
+| TableReader_7         | 5.00    | root      |               |               |
+| └─TableFullScan_5     | 100.00  | cop[tikv] | table:t0      |               |
++-----------------------+---------+-----------+---------------+---------------+
+";
 
     #[test]
     fn usage_errors_do_not_panic() {
@@ -1495,6 +1363,7 @@ mod tests {
         assert!(run_inner(&strings(&["ingest", "out", "oracle", "file"])).is_err());
         assert!(run_inner(&strings(&["stats", "/definitely/not/here"])).is_err());
         assert!(run_inner(&strings(&["campaign", "/no/dir/x", "db2"])).is_err());
+        assert!(run_inner(&strings(&["import", "/definitely/not/here"])).is_err());
     }
 
     #[test]
@@ -1507,24 +1376,16 @@ mod tests {
     #[test]
     fn ingest_stats_cluster_diff_round_trip() {
         // Two tiny explain files through the TiDB table converter.
-        let plan_a = "\
-+-----------------------+---------+-----------+---------------+---------------+
-| id                    | estRows | task      | access object | operator info |
-+-----------------------+---------+-----------+---------------+---------------+
-| TableReader_7         | 5.00    | root      |               |               |
-| └─TableFullScan_5     | 100.00  | cop[tikv] | table:t0      |               |
-+-----------------------+---------+-----------+---------------+---------------+
-";
-        let plan_b = plan_a.replace("t0", "t1");
+        let plan_b = TIDB_PLAN.replace("t0", "t1");
         let file_a = temp("uplan_cli_a.explain");
         let file_b = temp("uplan_cli_b.explain");
-        std::fs::write(&file_a, plan_a).unwrap();
+        std::fs::write(&file_a, TIDB_PLAN).unwrap();
         std::fs::write(&file_b, &plan_b).unwrap();
 
-        let out_bin = temp("uplan_cli.uplanc");
+        let store = temp("uplan_cli_store");
         let report = run_inner(&strings(&[
             "ingest",
-            &out_bin,
+            &store,
             "tidb-table",
             &file_a,
             &file_b,
@@ -1538,41 +1399,50 @@ mod tests {
             "{report}"
         );
         assert!(report.contains("1 distinct plans"), "{report}");
+        // Without --append an existing store is never replaced.
+        let again = run_inner(&strings(&["ingest", &store, "tidb-table", &file_a])).unwrap_err();
+        assert!(again.to_string().contains("already exists"), "{again}");
 
-        let out_jsonl = temp("uplan_cli.jsonl");
-        run_inner(&strings(&["ingest", &out_jsonl, "tidb-table", &file_a])).unwrap();
+        // A second corpus arrives as JSON lines and is imported.
+        let jsonl = temp("uplan_cli.jsonl");
+        std::fs::write(&jsonl, load(&store).unwrap().to_jsonl()).unwrap();
+        let imported_store = temp("uplan_cli_imported");
+        let imported = run_inner(&strings(&["import", &jsonl, &imported_store])).unwrap();
+        assert!(imported.contains("1 distinct plans"), "{imported}");
 
-        let stats = run_inner(&strings(&["stats", &out_bin])).unwrap();
+        let stats = run_inner(&strings(&["stats", &store])).unwrap();
         assert!(stats.contains("1 distinct"), "{stats}");
 
-        let clustered = run_inner(&strings(&["cluster", &out_bin, "1"])).unwrap();
+        let clustered = run_inner(&strings(&["cluster", &store, "1"])).unwrap();
         assert!(clustered.contains("1 clusters over 1 plans"), "{clustered}");
-        let dot = run_inner(&strings(&["cluster", &out_bin, "--dot"])).unwrap();
+        let dot = run_inner(&strings(&["cluster", &store, "--dot"])).unwrap();
         assert!(dot.starts_with("digraph"), "{dot}");
         // Flag-first invocations must still honor the radius argument.
-        let dot_first = run_inner(&strings(&["cluster", &out_bin, "--dot", "5"])).unwrap();
+        let dot_first = run_inner(&strings(&["cluster", &store, "--dot", "5"])).unwrap();
         assert!(dot_first.contains("radius 5"), "{dot_first}");
-        assert!(run_inner(&strings(&["cluster", &out_bin, "--dot", "nope"])).is_err());
+        assert!(run_inner(&strings(&["cluster", &store, "--dot", "nope"])).is_err());
 
-        let diffed = run_inner(&strings(&["diff", &out_bin, &out_jsonl, "1"])).unwrap();
+        let diffed = run_inner(&strings(&["diff", &store, &imported_store, "1"])).unwrap();
         assert!(diffed.contains("shared fingerprints: 1"), "{diffed}");
 
-        for f in [file_a, file_b, out_bin, out_jsonl] {
+        for f in [file_a, file_b, jsonl] {
             std::fs::remove_file(f).ok();
+        }
+        for dir in [store, imported_store] {
+            std::fs::remove_dir_all(dir).ok();
         }
     }
 
     #[test]
     fn fixture_ingest_is_thread_count_invariant_and_indexed_loads_are_eval_free() {
-        let out1 = temp("uplan_cli_fx1.uplanc");
-        let out4 = temp("uplan_cli_fx4.uplanc");
+        let out1 = temp("uplan_cli_fx1");
+        let out4 = temp("uplan_cli_fx4");
         let r1 = run_inner(&strings(&[
             "fixture-ingest",
             &out1,
             "300",
             "--threads",
             "1",
-            "--index",
         ]))
         .unwrap();
         let r4 = run_inner(&strings(&[
@@ -1581,12 +1451,11 @@ mod tests {
             "300",
             "--threads",
             "4",
-            "--index",
         ]))
         .unwrap();
         // Every line except the `wrote …` trailer (which names the thread
         // count) is identical — the same invariant the CI corpus-scale job
-        // diffs — and so are the written bytes.
+        // diffs — and so are the written files.
         let strip = |r: &str| {
             r.lines()
                 .filter(|l| !l.starts_with("wrote "))
@@ -1594,27 +1463,27 @@ mod tests {
                 .join("\n")
         };
         assert_eq!(strip(&r1), strip(&r4));
-        assert_eq!(std::fs::read(&out1).unwrap(), std::fs::read(&out4).unwrap());
+        assert_eq!(store_files(&out1), store_files(&out4));
 
+        // Reopening adopts the persisted index without one TED evaluation.
         let stats = run_inner(&strings(&["stats", &out4])).unwrap();
         assert!(
             stats.contains("index: persisted (0 TED evaluations on load)"),
             "{stats}"
         );
 
-        // Without --index the load rebuilds (and reports its TED spend).
-        let plain = temp("uplan_cli_fx_plain.uplanc");
-        run_inner(&strings(&["fixture-ingest", &plain, "300"])).unwrap();
-        let stats = run_inner(&strings(&["stats", &plain])).unwrap();
-        assert!(stats.contains("index: rebuilt ("), "{stats}");
-
-        // Flag errors are reported, not panicked.
+        // Flag errors are reported, not panicked; the removed monolithic
+        // `--index` switch is no longer accepted.
+        let fresh = temp("uplan_cli_fx_flags");
         assert!(run_inner(&strings(&["fixture-ingest"])).is_err());
-        assert!(run_inner(&strings(&["fixture-ingest", &plain, "--threads"])).is_err());
-        assert!(run_inner(&strings(&["fixture-ingest", &plain, "--seed", "zz"])).is_err());
+        assert!(run_inner(&strings(&["fixture-ingest", &fresh, "--threads"])).is_err());
+        assert!(run_inner(&strings(&["fixture-ingest", &fresh, "--seed", "zz"])).is_err());
+        assert!(run_inner(&strings(&["fixture-ingest", &fresh, "--index"])).is_err());
+        // A store is never silently replaced.
+        assert!(run_inner(&strings(&["fixture-ingest", &out1, "10"])).is_err());
 
-        for f in [out1, out4, plain] {
-            std::fs::remove_file(f).ok();
+        for dir in [out1, out4] {
+            std::fs::remove_dir_all(dir).ok();
         }
     }
 
@@ -1647,9 +1516,9 @@ mod tests {
             assert!(checked.contains(name), "{name} missing from {checked}");
         }
 
-        // `ingest --raw` writes byte-identical corpora for 1 and 4 threads.
-        let out1 = temp("uplan_cli_raw_t1.uplanc");
-        let out4 = temp("uplan_cli_raw_t4.uplanc");
+        // `ingest --raw` writes byte-identical stores for 1 and 4 threads.
+        let out1 = temp("uplan_cli_raw_t1");
+        let out4 = temp("uplan_cli_raw_t4");
         let r1 = run_inner(&strings(&[
             "ingest",
             &out1,
@@ -1657,7 +1526,6 @@ mod tests {
             &dump,
             "--threads",
             "1",
-            "--index",
         ]))
         .unwrap();
         run_inner(&strings(&[
@@ -1667,11 +1535,10 @@ mod tests {
             &dump,
             "--threads",
             "4",
-            "--index",
         ]))
         .unwrap();
         assert!(r1.contains("raw-ingested 22 plan line(s)"), "{r1}");
-        assert_eq!(std::fs::read(&out1).unwrap(), std::fs::read(&out4).unwrap());
+        assert_eq!(store_files(&out1), store_files(&out4));
         let stats = run_inner(&strings(&["stats", &out4])).unwrap();
         assert!(stats.contains("persisted (0 TED evaluations"), "{stats}");
 
@@ -1684,31 +1551,39 @@ mod tests {
         assert!(run_inner(&strings(&["ingest", &out1, "--raw"])).is_err());
         assert!(run_inner(&strings(&["raw-check", "/definitely/not/here"])).is_err());
 
-        for f in [dump, out1, out4] {
-            std::fs::remove_file(f).ok();
+        std::fs::remove_file(dump).ok();
+        for dir in [out1, out4] {
+            std::fs::remove_dir_all(dir).ok();
         }
     }
 
     #[test]
     fn salvage_and_mutate_agree_on_exact_expectations() {
-        let intact = temp("uplan_cli_slv.uplanc");
-        run_inner(&strings(&["fixture-ingest", &intact, "400", "--index"])).unwrap();
+        let intact = temp("uplan_cli_slv");
+        run_inner(&strings(&[
+            "fixture-ingest",
+            &intact,
+            "400",
+            "--batches",
+            "3",
+        ]))
+        .unwrap();
 
-        // An intact file salvages losslessly.
+        // An intact store salvages losslessly.
         let report = run_inner(&strings(&["salvage", &intact])).unwrap();
-        assert!(report.contains("0 dropped, checksum-verified"), "{report}");
-        assert!(report.contains("index: persisted"), "{report}");
+        assert!(report.contains("0 dropped"), "{report}");
+        assert!(report.contains("3 of 3 segment(s) recovered"), "{report}");
 
-        // Every mutation op: the salvage outcome matches the printed
-        // expectation exactly (when one is provable).
+        // Every fault op, at seeds that hit the manifest and segments: the
+        // salvage outcome matches the printed expectation exactly.
         for (op, seed) in [
             ("truncate", "0x5"),
-            ("truncate", "0x2"),
+            ("truncate", "0x4"),
             ("bitflip", "0xB"),
             ("splice", "0x51"),
-            ("duplicate", "0x0"),
+            ("delete", "0x2"),
         ] {
-            let damaged = temp(&format!("uplan_cli_slv_{op}_{seed}.uplanc"));
+            let damaged = temp(&format!("uplan_cli_slv_{op}_{seed}"));
             let mutated = run_inner(&strings(&[
                 "mutate", &intact, &damaged, "--op", op, "--seed", seed,
             ]))
@@ -1717,27 +1592,22 @@ mod tests {
                 .lines()
                 .find_map(|l| l.strip_prefix("expect-recoverable: "))
                 .unwrap_or_else(|| panic!("no expectation in {mutated}"));
-            let salvage_result = run_inner(&strings(&["salvage", &damaged]));
-            if expectation.ends_with("plans") {
-                // "N of M plans" — must reappear verbatim in the salvage
-                // report (Ok for N > 0, Input error for N == 0).
-                let printed = match &salvage_result {
-                    Ok(report) => report.clone(),
-                    Err(CliError::Input(message)) => message.clone(),
-                    Err(other) => panic!("{op} seed {seed}: {other}"),
-                };
-                assert!(
-                    printed.contains(&format!("salvaged {expectation}")),
-                    "{op} seed {seed}: expected {expectation:?} in {printed:?}"
-                );
-            } else if let Err(err) = &salvage_result {
-                assert!(matches!(err, CliError::Input(_)), "{op} seed {seed}: {err}");
-            }
-            std::fs::remove_file(damaged).ok();
+            // "N of M plans" — must reappear verbatim in the salvage report
+            // (Ok for N > 0, Input error for N == 0).
+            let printed = match run_inner(&strings(&["salvage", &damaged])) {
+                Ok(report) => report,
+                Err(CliError::Input(message)) => message,
+                Err(other) => panic!("{op} seed {seed}: {other}"),
+            };
+            assert!(
+                printed.contains(&format!("salvaged {expectation}")),
+                "{op} seed {seed}: expected {expectation:?} in {printed:?}"
+            );
+            std::fs::remove_dir_all(damaged).ok();
         }
 
         // Exit codes: unreadable paths are operational (1), bad
-        // arguments and unrecoverable files are input (2).
+        // arguments are input (2).
         let missing = run_inner(&strings(&["salvage", "/definitely/not/here"])).unwrap_err();
         assert_eq!(missing.code(), 1, "{missing}");
         let usage = run_inner(&strings(&["mutate", &intact])).unwrap_err();
@@ -1745,7 +1615,7 @@ mod tests {
         let bad_op =
             run_inner(&strings(&["mutate", &intact, "/tmp/x", "--op", "scramble"])).unwrap_err();
         assert_eq!(bad_op.code(), 2, "{bad_op}");
-        std::fs::remove_file(intact).ok();
+        std::fs::remove_dir_all(intact).ok();
     }
 
     #[test]
@@ -1764,7 +1634,7 @@ mod tests {
         assert!(report.contains("injected 6 garbage line(s)"), "{report}");
 
         // Strict ingest of the dirty dump is a bad-input failure (2)...
-        let out = temp("uplan_cli_dirty.uplanc");
+        let out = temp("uplan_cli_dirty");
         let strict = run_inner(&strings(&["ingest", &out, "--raw", &dump])).unwrap_err();
         assert_eq!(strict.code(), 2, "{strict}");
 
@@ -1813,13 +1683,15 @@ mod tests {
             "--lenient",
             "--max-errors",
             "3",
+            "--append",
         ]))
         .unwrap_err();
         assert!(bounded.to_string().contains("max-errors 3"), "{bounded}");
 
-        for f in [dump, out, quarantine] {
+        for f in [dump, quarantine] {
             std::fs::remove_file(f).ok();
         }
+        std::fs::remove_dir_all(out).ok();
     }
 
     #[test]
@@ -1841,15 +1713,15 @@ mod tests {
 
     #[test]
     fn campaign_writes_a_loadable_corpus() {
-        let out = temp("uplan_cli_campaign.uplanc");
+        let out = temp("uplan_cli_campaign");
         let report = run_inner(&strings(&["campaign", &out, "postgres", "60", "0"])).unwrap();
         assert!(report.contains("campaign on PostgreSQL"), "{report}");
-        let corpus = PlanCorpus::load(&out).unwrap();
-        assert!(!corpus.is_empty());
-        std::fs::remove_file(out).ok();
+        let store = SegmentStore::open(&out).unwrap();
+        assert!(!store.corpus().is_empty());
+        std::fs::remove_dir_all(out).ok();
     }
 
-    /// The segmented lifecycle end to end: fixture-ingest a batched store
+    /// The store lifecycle end to end: fixture-ingest a batched store
     /// (byte-identical across thread counts), append with `ingest`,
     /// census with `stats`, query lazily, compact, salvage.
     #[test]
@@ -1861,28 +1733,27 @@ mod tests {
                 "fixture-ingest",
                 dir,
                 "600",
-                "--segmented",
                 "--batches",
                 "3",
                 "--threads",
                 threads,
             ]))
             .unwrap();
-            assert!(report.contains("segmented x3"), "{report}");
+            assert!(report.contains("3 batch(es)"), "{report}");
             assert!(report.contains("batch 2:"), "{report}");
         }
-        // Everything except the trailing `wrote …` line is thread-count
-        // independent, and the directories are byte-identical.
-        for name in [
-            "manifest.uplm",
-            "seg-00000.upls",
-            "seg-00001.upls",
-            "seg-00002.upls",
-        ] {
-            let a = std::fs::read(std::path::Path::new(&dir1).join(name)).unwrap();
-            let b = std::fs::read(std::path::Path::new(&dir4).join(name)).unwrap();
-            assert_eq!(a, b, "{name} diverged between thread counts");
-        }
+        // The directories are byte-identical, file for file.
+        let files = store_files(&dir1);
+        assert_eq!(
+            files.keys().collect::<Vec<_>>(),
+            [
+                "manifest.uplm",
+                "seg-00000.upls",
+                "seg-00001.upls",
+                "seg-00002.upls"
+            ]
+        );
+        assert_eq!(files, store_files(&dir4));
 
         // stats prints the per-segment byte census.
         let stats = run_inner(&strings(&["stats", &dir1])).unwrap();
@@ -1891,9 +1762,9 @@ mod tests {
         assert!(stats.contains("persisted (0 TED evaluations"), "{stats}");
         assert!(stats.contains("on disk:"), "{stats}");
 
-        // Lazy queries answer identically to the monolithic file.
-        let mono = temp("uplan_cli_seg_mono.uplanc");
-        run_inner(&strings(&["fixture-ingest", &mono, "600", "--index"])).unwrap();
+        // Lazy queries answer identically to a one-segment store.
+        let single = temp("uplan_cli_seg_single");
+        run_inner(&strings(&["fixture-ingest", &single, "600"])).unwrap();
         let probe_corpus = crate::corpus_fixture::derived_stream(1, 0x004e_ca11);
         let probe_file = temp("uplan_cli_seg_probe.json");
         std::fs::write(
@@ -1901,49 +1772,44 @@ mod tests {
             uplan_core::formats::unified::to_json(&probe_corpus[0]),
         )
         .unwrap();
-        let from_dir = run_inner(&strings(&[
-            "query",
-            &dir1,
-            "knn",
-            "--k",
-            "5",
-            "--probe",
-            &probe_file,
-            "--json",
-        ]))
-        .unwrap();
-        let from_file = run_inner(&strings(&[
-            "query",
-            &mono,
-            "knn",
-            "--k",
-            "5",
-            "--probe",
-            &probe_file,
-            "--json",
-        ]))
-        .unwrap();
-        assert_eq!(from_dir, from_file, "lazy and in-RAM answers diverged");
+        let knn = |dir: &str| {
+            run_inner(&strings(&[
+                "query",
+                dir,
+                "knn",
+                "--k",
+                "5",
+                "--probe",
+                &probe_file,
+                "--json",
+            ]))
+            .unwrap()
+        };
+        let from_single = knn(&single);
+        assert_eq!(knn(&dir1), from_single, "segmentation changed answers");
 
-        // ingest into the store appends a new segment (no --append needed).
+        // `ingest --append` adds a new segment.
         let explain = temp("uplan_cli_seg.explain");
-        std::fs::write(
+        std::fs::write(&explain, TIDB_PLAN).unwrap();
+        let appended = run_inner(&strings(&[
+            "ingest",
+            &dir1,
+            "tidb-table",
             &explain,
-            "\
-+-----------------------+---------+-----------+---------------+---------------+
-| id                    | estRows | task      | access object | operator info |
-+-----------------------+---------+-----------+---------------+---------------+
-| TableReader_7         | 5.00    | root      |               |               |
-| └─TableFullScan_5     | 100.00  | cop[tikv] | table:t0      |               |
-+-----------------------+---------+-----------+---------------+---------------+
-",
-        )
+            "--append",
+        ]))
         .unwrap();
-        let appended = run_inner(&strings(&["ingest", &dir1, "tidb-table", &explain])).unwrap();
         assert!(appended.contains("appended segment 3"), "{appended}");
         assert!(appended.contains("1 of 1 plan(s) admitted"), "{appended}");
         // Re-ingesting the same file appends nothing.
-        let dup = run_inner(&strings(&["ingest", &dir1, "tidb-table", &explain])).unwrap();
+        let dup = run_inner(&strings(&[
+            "ingest",
+            &dir1,
+            "tidb-table",
+            &explain,
+            "--append",
+        ]))
+        .unwrap();
         assert!(
             dup.contains("no segment (batch was all duplicates)"),
             "{dup}"
@@ -1958,59 +1824,38 @@ mod tests {
         );
         assert!(salvaged.contains("manifest intact"), "{salvaged}");
 
-        // Compaction folds the four segments into one; queries agree.
+        // Compaction folds the four segments into one; queries agree with
+        // the pre-append store (the appended TiDB plan is far from the
+        // TPC-H-derived probe).
         let compacted = run_inner(&strings(&["compact", &dir1])).unwrap();
         assert!(compacted.contains("4 segment(s) -> 1"), "{compacted}");
         let stats = run_inner(&strings(&["stats", &dir1])).unwrap();
         assert!(stats.contains("segments: 1"), "{stats}");
-        let after = run_inner(&strings(&[
-            "query",
-            &dir1,
-            "knn",
-            "--k",
-            "5",
-            "--probe",
-            &probe_file,
-            "--json",
-        ]))
-        .unwrap();
-        assert_eq!(after, from_file, "compaction changed answers");
+        assert_eq!(knn(&dir1), from_single, "compaction changed answers");
 
-        // compact rejects non-stores; --batches needs --segmented.
-        assert!(run_inner(&strings(&["compact", &mono])).is_err());
-        assert!(run_inner(&strings(&["fixture-ingest", &mono, "10", "--batches", "2"])).is_err());
-
-        for dir in [&dir1, &dir4] {
+        for dir in [&dir1, &dir4, &single] {
             std::fs::remove_dir_all(dir).ok();
         }
-        for f in [mono, probe_file, explain] {
+        for f in [probe_file, explain] {
             std::fs::remove_file(f).ok();
         }
     }
 
-    /// `open-gate` proves answer/cost identity between the lazy and the
-    /// monolithic load; the speedup floor itself is CI's concern (tiny
-    /// fixtures cannot honour a 5x decode gap, so the floor is lowered
-    /// to exercise the pass path and raised to exercise the failure).
+    /// `open-gate` proves answer/cost identity between two segmentations of
+    /// one corpus; the speedup floor itself is CI's concern (tiny fixtures
+    /// cannot honour a 5x decode gap, so the floor is lowered to exercise
+    /// the pass path and raised to exercise the failure).
     #[test]
     fn open_gate_checks_identity_and_enforces_the_floor() {
         let dir = temp("uplan_cli_open_gate_store");
-        let mono = temp("uplan_cli_open_gate_mono.uplanc");
-        run_inner(&strings(&[
-            "fixture-ingest",
-            &dir,
-            "600",
-            "--segmented",
-            "--batches",
-            "3",
-        ]))
-        .unwrap();
-        run_inner(&strings(&["fixture-ingest", &mono, "600", "--index"])).unwrap();
+        let reference = temp("uplan_cli_open_gate_reference");
+        run_inner(&strings(&["fixture-ingest", &dir, "600", "--batches", "3"])).unwrap();
+        run_inner(&strings(&["fixture-ingest", &reference, "600"])).unwrap();
 
         let report = run_inner(&strings(&[
             "open-gate",
             &dir,
-            &mono,
+            &reference,
             "--probes",
             "4",
             "--min-speedup",
@@ -2018,7 +1863,7 @@ mod tests {
         ]))
         .unwrap();
         assert!(
-            report.contains("answers and QueryCost identical to the monolithic load"),
+            report.contains("answers and QueryCost identical to the reference store"),
             "{report}"
         );
         assert!(report.contains("open-and-first-query"), "{report}");
@@ -2027,7 +1872,7 @@ mod tests {
         let failed = run_inner(&strings(&[
             "open-gate",
             &dir,
-            &mono,
+            &reference,
             "--probes",
             "1",
             "--min-speedup",
@@ -2040,13 +1885,112 @@ mod tests {
             }
             other => panic!("expected an operational failure, got {other:?}"),
         }
-        // A monolithic file is not a store directory (exit 2).
-        assert!(matches!(
-            run_inner(&strings(&["open-gate", &mono, &mono])).unwrap_err(),
-            CliError::Input(_)
-        ));
 
         std::fs::remove_dir_all(&dir).ok();
-        std::fs::remove_file(&mono).ok();
+        std::fs::remove_dir_all(&reference).ok();
+    }
+
+    /// A legacy monolithic document of the 300-observation fixture, as
+    /// earlier releases wrote it (checksummed v3; no index section).
+    fn legacy_document() -> Vec<u8> {
+        let mut encoder = uplan_core::formats::binary::BinaryEncoder::new();
+        for (_, plan) in crate::corpus_fixture::derived_corpus(300, 0x1e6a).iter() {
+            encoder.push(plan).unwrap();
+        }
+        encoder.finish()
+    }
+
+    #[test]
+    fn import_converts_legacy_documents_and_rejects_damage() {
+        let file = temp("uplan_cli_legacy.uplanc");
+        let bytes = legacy_document();
+        std::fs::write(&file, &bytes).unwrap();
+        let store = temp("uplan_cli_legacy_store");
+        let report = run_inner(&strings(&["import", &file, &store])).unwrap();
+        assert!(report.contains("index: rebuilt"), "{report}");
+        let expected = PlanCorpus::from_binary(&bytes).unwrap();
+        let imported = load(&store).unwrap();
+        assert_eq!(imported.len(), expected.len());
+        assert_eq!(
+            encode_store(&imported).unwrap(),
+            encode_store(&expected).unwrap()
+        );
+        // The output must be new.
+        let again = run_inner(&strings(&["import", &file, &store])).unwrap_err();
+        assert!(again.to_string().contains("already exists"), "{again}");
+
+        // One damaged byte inside a checksummed plan block: the import is
+        // refused as bad input (exit 2), says why, and writes nothing.
+        let damaged = temp("uplan_cli_legacy_damaged.uplanc");
+        let mut corrupt = bytes.clone();
+        let at = corrupt.len() / 2;
+        corrupt[at] ^= 0x20;
+        std::fs::write(&damaged, &corrupt).unwrap();
+        let target = temp("uplan_cli_legacy_damaged_store");
+        let err = run_inner(&strings(&["import", &damaged, &target])).unwrap_err();
+        assert_eq!(err.code(), 2, "{err}");
+        let message = err.to_string();
+        assert!(message.contains("cannot import"), "{message}");
+        assert!(message.contains("checksum"), "{message}");
+        assert!(!std::path::Path::new(&target).exists());
+
+        for f in [file, damaged] {
+            std::fs::remove_file(f).ok();
+        }
+        std::fs::remove_dir_all(store).ok();
+    }
+
+    #[test]
+    fn every_command_rejects_a_non_store_path_naming_import() {
+        let file = temp("uplan_cli_not_a_store.uplanc");
+        std::fs::write(&file, legacy_document()).unwrap();
+        let out = temp("uplan_cli_not_a_store_out");
+        let explain = temp("uplan_cli_not_a_store.explain");
+        std::fs::write(&explain, TIDB_PLAN).unwrap();
+        let commands: Vec<Vec<&str>> = vec![
+            vec!["stats", &file],
+            vec!["cluster", &file],
+            vec!["diff", &file, &file],
+            vec!["query", &file, "stats"],
+            vec!["recall", &file],
+            vec!["open-gate", &file, &file],
+            vec!["serve", &file, "--addr", "127.0.0.1:0"],
+            vec!["salvage", &file],
+            vec!["compact", &file],
+            vec!["mutate", &file, &out, "--op", "bitflip"],
+            vec!["ingest", &file, "tidb-table", &explain, "--append"],
+        ];
+        for command in commands {
+            let err = run_inner(&strings(&command)).unwrap_err();
+            assert!(
+                err.to_string().contains("repro corpus import"),
+                "{command:?}: {err}"
+            );
+        }
+        assert!(!std::path::Path::new(&out).exists());
+        for f in [file, explain] {
+            std::fs::remove_file(f).ok();
+        }
+    }
+
+    #[test]
+    fn failed_appends_leave_the_store_at_its_before_state() {
+        // A directory squatting on the next segment path makes the write
+        // fail even for root; the CLI reports it and the retry admits the
+        // whole batch.
+        let dir = temp("uplan_cli_failed_append");
+        run_inner(&strings(&["fixture-ingest", &dir, "200"])).unwrap();
+        let explain = temp("uplan_cli_failed_append.explain");
+        std::fs::write(&explain, TIDB_PLAN).unwrap();
+        let blocker = std::path::Path::new(&dir).join(uplan_corpus::segment_file(1));
+        std::fs::create_dir(&blocker).unwrap();
+        let args = strings(&["ingest", &dir, "tidb-table", &explain, "--append"]);
+        let err = run_inner(&args).unwrap_err();
+        assert_eq!(err.code(), 1, "{err}");
+        std::fs::remove_dir(&blocker).unwrap();
+        let retried = run_inner(&args).unwrap();
+        assert!(retried.contains("1 of 1 plan(s) admitted"), "{retried}");
+        std::fs::remove_dir_all(dir).ok();
+        std::fs::remove_file(explain).ok();
     }
 }

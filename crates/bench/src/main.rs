@@ -12,15 +12,17 @@
 //!                         # quick run diffed against committed snapshots;
 //!                         # exits 1 on regression (UPLAN_BENCH_TOLERANCE
 //!                         # overrides the 1.5x noise tolerance)
-//! repro corpus <ingest|raw-fixture|raw-check|fixture-ingest|campaign|stats|cluster|diff|
-//!               salvage|mutate|sources> ...
-//!                         # manage persistent, TED-indexed plan corpora:
-//!                         # parallel sharded ingest (--threads/--shards),
-//!                         # mixed-source raw-dump ingest (ingest --raw,
-//!                         # framed + source-sniffed per record, --lenient
-//!                         # skip-and-report with --quarantine), persisted-
-//!                         # BK-index saves (--index), corruption recovery
-//!                         # (salvage) and seeded fault injection (mutate),
+//! repro corpus <import|ingest|raw-fixture|raw-check|fixture-ingest|campaign|stats|cluster|
+//!               diff|query|recall|open-gate|serve|salvage|mutate|compact|sources> ...
+//!                         # manage persistent, TED-indexed plan corpora
+//!                         # (segment-store directories; import converts a
+//!                         # legacy .uplanc/.jsonl file): parallel sharded
+//!                         # ingest (--threads/--shards), mixed-source
+//!                         # raw-dump ingest (ingest --raw, framed +
+//!                         # source-sniffed per record, --lenient
+//!                         # skip-and-report with --quarantine), per-segment
+//!                         # corruption recovery (salvage) and seeded fault
+//!                         # injection (mutate),
 //!                         # and the CI gates (fixture-ingest, raw-fixture +
 //!                         # raw-check, mutate + salvage); see
 //!                         # crates/bench/src/corpus_cli.rs

@@ -1,12 +1,10 @@
-//! Compact binary plan codec — the persistence format of plan corpora.
+//! Compact binary plan codec — the plan-body encoding of the segment
+//! store, and the reader for legacy monolithic corpus documents.
 //!
 //! JSON is the interchange format of the unified representation; it is not
-//! the right format for *populations* of plans. A QPG campaign that
-//! accumulates 100k+ plans re-reads its corpus on every resume, and the
-//! JSON path pays per plan for lexing, escape handling and keyword
-//! re-validation. This module defines a symbol-table-prefixed, varint-
-//! encoded binary document that amortizes all of that across a whole
-//! corpus:
+//! the right format for *populations* of plans. This module defines a
+//! symbol-table-prefixed, varint-encoded binary document that amortizes
+//! lexing, escape handling and keyword validation across many plans:
 //!
 //! ```text
 //! document ::= magic            (4 bytes, "UPLN")
@@ -65,42 +63,37 @@
 //! capped at [`MAX_SYMBOLS`] entries: a hostile document can leak at most
 //! a bounded vocabulary, not memory proportional to its size.
 //!
-//! The format is versioned like the fingerprint scheme: a reader rejects
-//! documents whose version it does not understand, and
-//! [`BINARY_CODEC_VERSION`] bumps invalidate persisted corpora
-//! deliberately — except that each version is a strict superset of the one
-//! before, so the decoder keeps accepting all of them
-//! ([`MIN_SUPPORTED_BINARY_VERSION`]): a v1 document is exactly a v2
-//! document without the trailing index section, a v3 document is a v2
+//! ## Writer and reader
+//!
+//! Corpora are persisted as segment stores (`uplan-corpus`), whose segment
+//! files reuse [`BinaryEncoder`]'s plan bodies and checksummed blocks.
+//! The only whole documents this module writes are plain version-3
+//! documents without sections ([`to_bytes`], [`BinaryEncoder::finish`]);
+//! `tests/golden.rs` pins their exact bytes.
+//!
+//! The decoder reads every version ever written
+//! ([`MIN_SUPPORTED_BINARY_VERSION`]..=[`FEATURED_BINARY_VERSION`]), so
+//! monolithic corpus documents from earlier releases stay importable. Each
+//! version is a strict superset of the one before: a v1 document is a v2
+//! document without the trailing section flag, a v3 document is a v2
 //! document with its plan stream cut into checksummed blocks and three
-//! CRC32 trailers added, and a v4 document is a v3 document whose index
-//! flag byte is reinterpreted as a section-flags bitmap admitting an
-//! additional per-plan feature-vector section
-//! ([`FEATURED_BINARY_VERSION`], written only on request by
-//! [`BinaryEncoder::finish_with_sections`]). `tests/golden.rs` pins exact
-//! encodings for versions 1..=3; plain [`to_bytes`] and
-//! [`BinaryEncoder::finish`] stay on version 3 so existing documents stay
-//! byte-identical.
+//! CRC32 trailers added, and a v4 document widens the index flag byte into
+//! a section-flags bitmap admitting a per-plan feature-vector section.
+//! Decoding is strict and treats every document as outside input: CRCs,
+//! varint canonicality, counts against the remaining input, and every
+//! limit below are checked before anything is allocated or trusted.
 //!
-//! ## Checksums and salvage (version 3)
+//! ## Checksums (version 3)
 //!
-//! Fleet dumps arrive over lossy paths: partial writes, bit rot, spliced
-//! uploads. Before v3 a single flipped byte anywhere in a multi-megabyte
-//! document lost the whole corpus (or worse, silently skewed the trusted
-//! index distances). Version 3 checksums each section separately —
-//! header + symbol table, every [`CHECKSUM_BLOCK_PLANS`]-plan block of
-//! bodies, and the index tail — with [`crate::crc32`], so corruption is
-//! (a) *detected* at load ([`Error::Checksum`]) and (b) *localized*:
-//! [`salvage`] recovers every plan up to the first damaged block and
-//! reports exactly what was dropped. Each block pre-verifies its CRC
-//! before any of its plans decode, so every plan a v3 salvage returns
-//! came from verified bytes. The per-block granularity is the trade:
-//! 4-byte overhead per 256 plans is noise, while checksum *time* stays
-//! under 5% of the load it guards (see `corpus/load_binary_checked_10k`).
+//! Version 3 checksums each section separately — header + symbol table,
+//! every [`CHECKSUM_BLOCK_PLANS`]-plan block of bodies, and the index tail
+//! — with [`crate::crc32`], so corruption is *detected* at load
+//! ([`Error::Checksum`]). Each block verifies its CRC before any of its
+//! plans decode.
 //!
 //! ## The index section (version 2)
 //!
-//! Version 2 appends an *optional* index section after the last plan: the
+//! Version 2 documents may end in an *optional* index section: the
 //! topology of the writer's metric index (per shard, one `(parent, cached
 //! distance)` edge per non-root node — a BK-tree over the document's plans,
 //! see `uplan-corpus`), plus one writer-defined `fingerprint_flags` byte
@@ -118,15 +111,9 @@
 //!
 //! Version 4 admits a second optional section after the index: one
 //! fixed-width structural feature vector per plan (see
-//! [`FeatureSection`]), in document plan order. Feature vectors drive
-//! approximate similarity queries (vector-distance candidate generation
-//! before exact re-ranking in `uplan-corpus`); persisting them saves the
-//! recompute at load the same way the index section saves metric
-//! evaluations. The section is written only by
-//! [`BinaryEncoder::finish_with_sections`]; everything else keeps writing
-//! version 3, and readers that find an unexpected dimension simply drop
-//! the section and recompute — like an index whose fingerprint flags
-//! disagree, it is a cache, not data.
+//! [`FeatureSection`]), in document plan order. Like the index it is a
+//! cache: readers that find an unexpected dimension drop the section and
+//! recompute.
 
 use std::collections::HashMap;
 
@@ -145,17 +132,10 @@ pub const BINARY_MAGIC: [u8; 4] = *b"UPLN";
 /// Version of the binary codec — what the encoder writes by default.
 pub const BINARY_CODEC_VERSION: u32 = 3;
 
-/// Version written by [`BinaryEncoder::finish_with_sections`]: the v3
-/// layout with the index flag byte widened into a section-flags bitmap so
-/// a per-plan feature-vector section can follow the index. Only documents
-/// that actually carry feature vectors pay the bump; everything else keeps
-/// writing [`BINARY_CODEC_VERSION`] byte-identically.
+/// Newest codec version the decoder reads: the v3 layout with the index
+/// flag byte widened into a section-flags bitmap so a per-plan
+/// feature-vector section can follow the index.
 pub const FEATURED_BINARY_VERSION: u32 = 4;
-
-/// Version written by [`BinaryEncoder::unchecked`]: the v2 layout without
-/// per-section checksums, kept writable for size/time-sensitive interop
-/// and for measuring the checksum overhead against the same population.
-pub const UNCHECKED_BINARY_VERSION: u32 = 2;
 
 /// Oldest codec version the decoder still reads. Version 1 documents are
 /// version 2 documents without the trailing index section, and version 2
@@ -187,8 +167,8 @@ pub const MAX_PLAN_DEPTH: usize = 512;
 /// into the process-global interner (interned spellings are never freed).
 pub const MAX_SYMBOLS: usize = 1 << 16;
 
-/// Maximum shard count an index section may declare, enforced symmetrically
-/// like the other limits. Corpus sharding is a small power of two sized to
+/// Maximum shard count an index section may declare (and a corpus may
+/// have). Corpus sharding is a small power of two sized to
 /// core counts; 256 is far beyond that while keeping a hostile document
 /// from declaring billions of empty shards.
 pub const MAX_INDEX_SHARDS: usize = 256;
@@ -199,10 +179,10 @@ pub const MAX_INDEX_SHARDS: usize = 256;
 /// allocate per plan.
 pub const MAX_FEATURE_DIM: usize = 64;
 
-/// The persisted metric-index topology of a version-2 document: one
-/// BK-tree edge list per corpus shard (see the module docs). Produced by
-/// `uplan-corpus` at save time and handed back verbatim at load time; this
-/// module only defines the byte layout and its structural validation.
+/// The persisted metric-index topology of a version-2+ document: one
+/// BK-tree edge list per corpus shard (see the module docs). Handed to
+/// `uplan-corpus` verbatim at import time; this module only defines the
+/// byte layout and its structural validation.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct IndexSection {
     /// Writer-defined encoding of the fingerprint options the shard
@@ -286,10 +266,7 @@ pub struct BinaryEncoder {
     refs: HashMap<Symbol, u32>,
     body: Vec<u8>,
     plans: u64,
-    /// Write the checksummed v3 layout (the default); `false` emits the
-    /// bare [`UNCHECKED_BINARY_VERSION`] layout.
-    checked: bool,
-    /// Body offsets at which each checksum block starts (checked mode).
+    /// Body offsets at which each checksum block starts.
     block_starts: Vec<usize>,
 }
 
@@ -300,27 +277,15 @@ impl Default for BinaryEncoder {
 }
 
 impl BinaryEncoder {
-    /// An empty encoder producing the current (checksummed) document
-    /// version.
+    /// An empty encoder producing a checksummed [`BINARY_CODEC_VERSION`]
+    /// document.
     pub fn new() -> BinaryEncoder {
         BinaryEncoder {
             table: Vec::new(),
             refs: HashMap::new(),
             body: Vec::new(),
             plans: 0,
-            checked: true,
             block_starts: Vec::new(),
-        }
-    }
-
-    /// An empty encoder producing the pre-checksum
-    /// [`UNCHECKED_BINARY_VERSION`] layout — byte-identical plan bodies,
-    /// no CRC sections. Every reader keeps accepting it; new corpora
-    /// should prefer [`BinaryEncoder::new`].
-    pub fn unchecked() -> BinaryEncoder {
-        BinaryEncoder {
-            checked: false,
-            ..BinaryEncoder::new()
         }
     }
 
@@ -390,7 +355,7 @@ impl BinaryEncoder {
                 "document exceeds the codec limit of {MAX_SYMBOLS} distinct identifiers"
             )));
         }
-        if self.checked && self.plans.is_multiple_of(CHECKSUM_BLOCK_PLANS) {
+        if self.plans.is_multiple_of(CHECKSUM_BLOCK_PLANS) {
             self.block_starts.push(self.body.len());
         }
         self.plans += 1;
@@ -402,61 +367,13 @@ impl BinaryEncoder {
         Ok(())
     }
 
-    /// Finalizes the document without an index section: header, symbol
-    /// table, plan count, bodies, and a zero index flag.
+    /// Finalizes the document: header, symbol table, plan count,
+    /// checksummed blocks of bodies, and a zero section-flags byte.
     pub fn finish(self) -> Vec<u8> {
-        self.finish_inner(None, None)
-    }
-
-    /// Finalizes the document with a persisted metric index (see
-    /// [`IndexSection`]). The section must describe exactly the plans
-    /// pushed into this document — `index.shards` node counts summing to
-    /// [`BinaryEncoder::plan_count`] — or the decoder will reject it.
-    pub fn finish_with_index(self, index: &IndexSection) -> Vec<u8> {
-        debug_assert_eq!(
-            index.shards.iter().map(|s| s.nodes).sum::<u64>(),
-            self.plans,
-            "index section must cover every plan in the document"
-        );
-        self.finish_inner(Some(index), None)
-    }
-
-    /// Finalizes the document with both a persisted metric index and a
-    /// per-plan feature section, bumping the document to
-    /// [`FEATURED_BINARY_VERSION`]. The feature section must carry exactly
-    /// `plan_count × dim` values; only checked encoders may write it (the
-    /// featured layout is a superset of v3, not of v2).
-    pub fn finish_with_sections(self, index: &IndexSection, features: &FeatureSection) -> Vec<u8> {
-        debug_assert!(self.checked, "featured documents are always checksummed");
-        debug_assert_eq!(
-            index.shards.iter().map(|s| s.nodes).sum::<u64>(),
-            self.plans,
-            "index section must cover every plan in the document"
-        );
-        debug_assert_eq!(
-            features.values.len() as u64,
-            self.plans * u64::from(features.dim),
-            "feature section must carry one row per plan"
-        );
-        self.finish_inner(Some(index), Some(features))
-    }
-
-    fn finish_inner(
-        self,
-        index: Option<&IndexSection>,
-        features: Option<&FeatureSection>,
-    ) -> Vec<u8> {
         let symbols = SymbolTable::read();
-        let version = if features.is_some() {
-            FEATURED_BINARY_VERSION
-        } else if self.checked {
-            BINARY_CODEC_VERSION
-        } else {
-            UNCHECKED_BINARY_VERSION
-        };
         let mut out = Vec::with_capacity(self.body.len() + 16 * self.table.len() + 32);
         out.extend_from_slice(&BINARY_MAGIC);
-        write_varint(&mut out, u64::from(version));
+        write_varint(&mut out, u64::from(BINARY_CODEC_VERSION));
         write_varint(&mut out, self.table.len() as u64);
         for sym in &self.table {
             let text = symbols.str(*sym);
@@ -464,51 +381,23 @@ impl BinaryEncoder {
             out.extend_from_slice(text.as_bytes());
         }
         write_varint(&mut out, self.plans);
-        if self.checked {
-            let header_crc = crc32(&out);
-            out.extend_from_slice(&header_crc.to_le_bytes());
-            for (i, &start) in self.block_starts.iter().enumerate() {
-                let end = self
-                    .block_starts
-                    .get(i + 1)
-                    .copied()
-                    .unwrap_or(self.body.len());
-                let block = &self.body[start..end];
-                write_varint(&mut out, block.len() as u64);
-                out.extend_from_slice(block);
-                out.extend_from_slice(&crc32(block).to_le_bytes());
-            }
-        } else {
-            out.extend_from_slice(&self.body);
+        let header_crc = crc32(&out);
+        out.extend_from_slice(&header_crc.to_le_bytes());
+        for (i, &start) in self.block_starts.iter().enumerate() {
+            let end = self
+                .block_starts
+                .get(i + 1)
+                .copied()
+                .unwrap_or(self.body.len());
+            let block = &self.body[start..end];
+            write_varint(&mut out, block.len() as u64);
+            out.extend_from_slice(block);
+            out.extend_from_slice(&crc32(block).to_le_bytes());
         }
         let tail_start = out.len();
-        out.push(u8::from(index.is_some()) | (u8::from(features.is_some()) << 1));
-        if let Some(index) = index {
-            out.push(index.fingerprint_flags);
-            write_varint(&mut out, index.shards.len() as u64);
-            for shard in &index.shards {
-                write_varint(&mut out, shard.nodes);
-                debug_assert_eq!(
-                    shard.edges.len() as u64,
-                    shard.nodes.saturating_sub(1),
-                    "a BK-tree has exactly one edge per non-root node"
-                );
-                for &(parent, distance) in &shard.edges {
-                    write_varint(&mut out, u64::from(parent));
-                    write_varint(&mut out, u64::from(distance));
-                }
-            }
-        }
-        if let Some(features) = features {
-            write_varint(&mut out, u64::from(features.dim));
-            for &value in &features.values {
-                write_varint(&mut out, u64::from(value));
-            }
-        }
-        if self.checked {
-            let tail_crc = crc32(&out[tail_start..]);
-            out.extend_from_slice(&tail_crc.to_le_bytes());
-        }
+        out.push(0);
+        let tail_crc = crc32(&out[tail_start..]);
+        out.extend_from_slice(&tail_crc.to_le_bytes());
         out
     }
 
@@ -612,26 +501,8 @@ pub struct BinaryDecoder<'a> {
     block_end: usize,
     /// v3: plans left to decode in the current block.
     block_left: u64,
-    /// v3: plans already decoded from the current (unfinished) block —
-    /// what a salvage must discard when the block lied about its length.
-    block_taken: u64,
     /// v3: checksum blocks verified so far (for error messages).
     blocks_read: usize,
-    /// Clean split points passed so far (see [`SectionBoundary`]).
-    sections: Vec<SectionBoundary>,
-}
-
-/// One checkpoint in a decoded document: a byte offset at which the
-/// document splits cleanly between sections, and how many plans lie
-/// entirely before it. The fault-injection harness truncates at exactly
-/// these offsets; [`salvage`] of such a truncation recovers exactly
-/// `plans` plans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SectionBoundary {
-    /// Offset one past the section (header, checksum block, or tail).
-    pub end: usize,
-    /// Plans fully decoded before `end`.
-    pub plans: u64,
 }
 
 impl<'a> BinaryDecoder<'a> {
@@ -650,9 +521,7 @@ impl<'a> BinaryDecoder<'a> {
             finalized: false,
             block_end: 0,
             block_left: 0,
-            block_taken: 0,
             blocks_read: 0,
-            sections: Vec::new(),
         };
         if input.len() < BINARY_MAGIC.len() || input[..BINARY_MAGIC.len()] != BINARY_MAGIC {
             return Err(Error::parse(0, "not a binary plan document (bad magic)"));
@@ -694,10 +563,6 @@ impl<'a> BinaryDecoder<'a> {
         if dec.version >= 3 {
             dec.verify_crc(0, dec.pos, "header")?;
         }
-        dec.sections.push(SectionBoundary {
-            end: dec.pos,
-            plans: 0,
-        });
         Ok(dec)
     }
 
@@ -731,9 +596,7 @@ impl<'a> BinaryDecoder<'a> {
             finalized: true,
             block_end: 0,
             block_left: 0,
-            block_taken: 0,
             blocks_read: 0,
-            sections: Vec::new(),
         }
     }
 
@@ -756,14 +619,6 @@ impl<'a> BinaryDecoder<'a> {
     /// The document's codec version (1..=4).
     pub fn version(&self) -> u32 {
         self.version
-    }
-
-    /// The clean split points passed so far: the header, each completed
-    /// checksum block (each plan, for pre-v3 documents) and — once the
-    /// document is exhausted — its end. Truncating the document at any of
-    /// these offsets leaves a salvageable prefix.
-    pub fn sections(&self) -> &[SectionBoundary] {
-        &self.sections
     }
 
     /// Reads and verifies the 4-byte CRC32 trailer covering
@@ -789,7 +644,6 @@ impl<'a> BinaryDecoder<'a> {
     /// v3: enters the next checksum block — reads its length, verifies its
     /// CRC over the raw bytes *before* any plan in it decodes.
     fn begin_block(&mut self) -> Result<()> {
-        self.block_taken = 0;
         let section = format!("plan block {}", self.blocks_read);
         let len = self.read_varint()? as usize;
         let start = self.pos;
@@ -826,11 +680,6 @@ impl<'a> BinaryDecoder<'a> {
             ));
         }
         self.pos += 4; // the CRC trailer, verified on entry
-        self.block_taken = 0;
-        self.sections.push(SectionBoundary {
-            end: self.pos,
-            plans: self.plan_count - self.remaining,
-        });
         Ok(())
     }
 
@@ -882,10 +731,6 @@ impl<'a> BinaryDecoder<'a> {
                 if self.pos != self.input.len() {
                     return Err(Error::parse(self.pos, "trailing bytes after last plan"));
                 }
-                self.sections.push(SectionBoundary {
-                    end: self.pos,
-                    plans: self.plan_count,
-                });
             }
             return Ok(None);
         }
@@ -908,15 +753,9 @@ impl<'a> BinaryDecoder<'a> {
         let properties = self.read_properties()?;
         if self.version >= 3 {
             self.block_left -= 1;
-            self.block_taken += 1;
             if self.block_left == 0 {
                 self.end_block()?;
             }
-        } else {
-            self.sections.push(SectionBoundary {
-                end: self.pos,
-                plans: self.plan_count - self.remaining,
-            });
         }
         Ok(Some(UnifiedPlan { root, properties }))
     }
@@ -1156,101 +995,6 @@ impl<'a> BinaryDecoder<'a> {
     }
 }
 
-/// What a best-effort [`salvage`] decode recovered from a damaged
-/// document.
-#[derive(Debug)]
-pub struct SalvageOutcome {
-    /// Plans recovered, in document order — always a prefix of the
-    /// document's plan stream.
-    pub plans: Vec<UnifiedPlan>,
-    /// Plans the header declared (0 when the header itself was
-    /// unreadable).
-    pub declared: u64,
-    /// The persisted index section — only present when the *entire*
-    /// document decoded cleanly (a dropped plan invalidates the index's
-    /// shard populations).
-    pub index: Option<IndexSection>,
-    /// The error that stopped the scan; `None` means the document was
-    /// intact end to end.
-    pub error: Option<Error>,
-    /// `true` when every recovered plan came from a CRC-verified block
-    /// (version ≥ 3). Pre-checksum documents salvage too, but their
-    /// surviving plans are decodable-not-verified.
-    pub verified: bool,
-}
-
-impl SalvageOutcome {
-    /// Declared plans that could not be recovered.
-    pub fn dropped(&self) -> u64 {
-        self.declared.saturating_sub(self.plans.len() as u64)
-    }
-}
-
-/// Best-effort decode of a possibly corrupted or truncated document:
-/// recovers the longest cleanly-decodable prefix of plans instead of
-/// failing wholesale. Never panics on any input. On version-3 documents
-/// every recovered plan comes from a checksum-verified block, so a
-/// truncation at byte `b` recovers exactly the plans of the blocks that
-/// end at or before `b` (see [`SectionBoundary`]).
-pub fn salvage(input: &[u8]) -> SalvageOutcome {
-    let mut dec = match BinaryDecoder::new(input) {
-        Ok(dec) => dec,
-        Err(error) => {
-            return SalvageOutcome {
-                plans: Vec::new(),
-                declared: 0,
-                index: None,
-                error: Some(error),
-                verified: false,
-            }
-        }
-    };
-    let declared = dec.plan_count();
-    let verified = dec.version() >= 3;
-    let mut plans = Vec::new();
-    loop {
-        match dec.next_plan() {
-            Ok(Some(plan)) => plans.push(plan),
-            Ok(None) => {
-                return SalvageOutcome {
-                    plans,
-                    declared,
-                    index: dec.take_index(),
-                    error: None,
-                    verified,
-                }
-            }
-            Err(error) => {
-                if verified {
-                    // A v3 block's CRC is verified before its plans decode,
-                    // so a failure *inside* a block means the block lied
-                    // about its own length — discard its plans, keep every
-                    // completed block before it.
-                    let keep = plans.len().saturating_sub(dec.block_taken as usize);
-                    plans.truncate(keep);
-                }
-                return SalvageOutcome {
-                    plans,
-                    declared,
-                    index: None,
-                    error: Some(error),
-                    verified,
-                };
-            }
-        }
-    }
-}
-
-/// Decodes the whole document purely to report its clean split points:
-/// the header end, each checksum-block end (each plan end, pre-v3) and
-/// the document end, with cumulative plan counts. This is what the
-/// fault-injection harness truncates and splices at.
-pub fn section_map(input: &[u8]) -> Result<Vec<SectionBoundary>> {
-    let mut dec = BinaryDecoder::new(input)?;
-    while dec.next_plan()?.is_some() {}
-    Ok(dec.sections.clone())
-}
-
 /// Decodes a document that must contain exactly one plan.
 pub fn from_bytes(input: &[u8]) -> Result<UnifiedPlan> {
     let mut dec = BinaryDecoder::new(input)?;
@@ -1365,10 +1109,89 @@ mod tests {
         );
     }
 
-    /// Rewrites a v2 no-index document (from [`BinaryEncoder::unchecked`])
-    /// as its exact v1 equivalent: the version varint drops to 1 and the
-    /// trailing zero index flag (which v1 does not have) is removed.
-    /// Byte-exact because both versions encode plans identically.
+    /// `[sample(), UnifiedPlan::new()]` as a pre-checksum version-2
+    /// document without an index, pinned so the v1/v2 decode paths stay
+    /// covered.
+    const UNCHECKED_V2: [u8; 175] = [
+        0x55, 0x50, 0x4c, 0x4e, 0x02, 0x0a, 0x09, 0x48, 0x61, 0x73, 0x68, 0x5f, //
+        0x4a, 0x6f, 0x69, 0x6e, 0x0f, 0x46, 0x75, 0x6c, 0x6c, 0x5f, 0x54, 0x61, //
+        0x62, 0x6c, 0x65, 0x5f, 0x53, 0x63, 0x61, 0x6e, 0x0b, 0x6e, 0x61, 0x6d, //
+        0x65, 0x5f, 0x6f, 0x62, 0x6a, 0x65, 0x63, 0x74, 0x04, 0x72, 0x6f, 0x77, //
+        0x73, 0x0a, 0x74, 0x6f, 0x74, 0x61, 0x6c, 0x5f, 0x63, 0x6f, 0x73, 0x74, //
+        0x08, 0x70, 0x61, 0x72, 0x61, 0x6c, 0x6c, 0x65, 0x6c, 0x08, 0x48, 0x61, //
+        0x73, 0x68, 0x5f, 0x52, 0x6f, 0x77, 0x0a, 0x49, 0x6e, 0x64, 0x65, 0x78, //
+        0x5f, 0x53, 0x63, 0x61, 0x6e, 0x10, 0x70, 0x6c, 0x61, 0x6e, 0x6e, 0x69, //
+        0x6e, 0x67, 0x5f, 0x74, 0x69, 0x6d, 0x65, 0x5f, 0x6d, 0x73, 0x07, 0x6e, //
+        0x6f, 0x74, 0x68, 0x69, 0x6e, 0x67, 0x02, 0x01, 0x02, 0x00, 0x00, 0x02, //
+        0x00, 0x01, 0x04, 0x02, 0x02, 0x05, 0x02, 0x74, 0x30, 0x00, 0x03, 0x03, //
+        0xd0, 0x0f, 0x01, 0x04, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x41, //
+        0x40, 0x03, 0x05, 0x01, 0x00, 0x05, 0x06, 0x00, 0x01, 0x00, 0x07, 0x00, //
+        0x00, 0x02, 0x03, 0x08, 0x04, 0x58, 0x39, 0xb4, 0xc8, 0x76, 0xbe, 0xbf, //
+        0x3f, 0x03, 0x09, 0x00, 0x00, 0x00, 0x00, //
+    ];
+
+    /// `indexed_document()`'s plans with [`sample_index`] as a checksummed
+    /// version-3 document — the layout of indexed corpus files written by
+    /// earlier releases.
+    const INDEXED_V3: [u8; 201] = [
+        0x55, 0x50, 0x4c, 0x4e, 0x03, 0x0a, 0x09, 0x48, 0x61, 0x73, 0x68, 0x5f, //
+        0x4a, 0x6f, 0x69, 0x6e, 0x0f, 0x46, 0x75, 0x6c, 0x6c, 0x5f, 0x54, 0x61, //
+        0x62, 0x6c, 0x65, 0x5f, 0x53, 0x63, 0x61, 0x6e, 0x0b, 0x6e, 0x61, 0x6d, //
+        0x65, 0x5f, 0x6f, 0x62, 0x6a, 0x65, 0x63, 0x74, 0x04, 0x72, 0x6f, 0x77, //
+        0x73, 0x0a, 0x74, 0x6f, 0x74, 0x61, 0x6c, 0x5f, 0x63, 0x6f, 0x73, 0x74, //
+        0x08, 0x70, 0x61, 0x72, 0x61, 0x6c, 0x6c, 0x65, 0x6c, 0x08, 0x48, 0x61, //
+        0x73, 0x68, 0x5f, 0x52, 0x6f, 0x77, 0x0a, 0x49, 0x6e, 0x64, 0x65, 0x78, //
+        0x5f, 0x53, 0x63, 0x61, 0x6e, 0x10, 0x70, 0x6c, 0x61, 0x6e, 0x6e, 0x69, //
+        0x6e, 0x67, 0x5f, 0x74, 0x69, 0x6d, 0x65, 0x5f, 0x6d, 0x73, 0x07, 0x6e, //
+        0x6f, 0x74, 0x68, 0x69, 0x6e, 0x67, 0x03, 0xfd, 0x70, 0x10, 0x68, 0x41, //
+        0x01, 0x02, 0x00, 0x00, 0x02, 0x00, 0x01, 0x04, 0x02, 0x02, 0x05, 0x02, //
+        0x74, 0x30, 0x00, 0x03, 0x03, 0xd0, 0x0f, 0x01, 0x04, 0x04, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0xc0, 0x41, 0x40, 0x03, 0x05, 0x01, 0x00, 0x05, 0x06, //
+        0x00, 0x01, 0x00, 0x07, 0x00, 0x00, 0x02, 0x03, 0x08, 0x04, 0x58, 0x39, //
+        0xb4, 0xc8, 0x76, 0xbe, 0xbf, 0x3f, 0x03, 0x09, 0x00, 0x01, 0x00, 0x07, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0xb3, 0xe2, 0x97, 0xa6, 0x01, 0x03, 0x03, //
+        0x02, 0x00, 0x05, 0x01, 0x00, 0x0e, 0x17, 0xe4, 0x7b, //
+    ];
+
+    /// The same plans and index plus [`sample_features`] as a version-4
+    /// document.
+    const FEATURED_V4: [u8; 214] = [
+        0x55, 0x50, 0x4c, 0x4e, 0x04, 0x0a, 0x09, 0x48, 0x61, 0x73, 0x68, 0x5f, //
+        0x4a, 0x6f, 0x69, 0x6e, 0x0f, 0x46, 0x75, 0x6c, 0x6c, 0x5f, 0x54, 0x61, //
+        0x62, 0x6c, 0x65, 0x5f, 0x53, 0x63, 0x61, 0x6e, 0x0b, 0x6e, 0x61, 0x6d, //
+        0x65, 0x5f, 0x6f, 0x62, 0x6a, 0x65, 0x63, 0x74, 0x04, 0x72, 0x6f, 0x77, //
+        0x73, 0x0a, 0x74, 0x6f, 0x74, 0x61, 0x6c, 0x5f, 0x63, 0x6f, 0x73, 0x74, //
+        0x08, 0x70, 0x61, 0x72, 0x61, 0x6c, 0x6c, 0x65, 0x6c, 0x08, 0x48, 0x61, //
+        0x73, 0x68, 0x5f, 0x52, 0x6f, 0x77, 0x0a, 0x49, 0x6e, 0x64, 0x65, 0x78, //
+        0x5f, 0x53, 0x63, 0x61, 0x6e, 0x10, 0x70, 0x6c, 0x61, 0x6e, 0x6e, 0x69, //
+        0x6e, 0x67, 0x5f, 0x74, 0x69, 0x6d, 0x65, 0x5f, 0x6d, 0x73, 0x07, 0x6e, //
+        0x6f, 0x74, 0x68, 0x69, 0x6e, 0x67, 0x03, 0x35, 0x4f, 0xca, 0x3f, 0x41, //
+        0x01, 0x02, 0x00, 0x00, 0x02, 0x00, 0x01, 0x04, 0x02, 0x02, 0x05, 0x02, //
+        0x74, 0x30, 0x00, 0x03, 0x03, 0xd0, 0x0f, 0x01, 0x04, 0x04, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0xc0, 0x41, 0x40, 0x03, 0x05, 0x01, 0x00, 0x05, 0x06, //
+        0x00, 0x01, 0x00, 0x07, 0x00, 0x00, 0x02, 0x03, 0x08, 0x04, 0x58, 0x39, //
+        0xb4, 0xc8, 0x76, 0xbe, 0xbf, 0x3f, 0x03, 0x09, 0x00, 0x01, 0x00, 0x07, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0xb3, 0xe2, 0x97, 0xa6, 0x03, 0x03, 0x03, //
+        0x02, 0x00, 0x05, 0x01, 0x00, 0x04, 0x03, 0x00, 0x01, 0x07, 0x01, 0x00, //
+        0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x19, 0x0c, 0x7d, 0x7a, //
+    ];
+
+    /// Two empty plans under a one-shard index with edge `(0, 3)`, in the
+    /// unchecked version-2 layout (no checksum masks structural errors).
+    const TWO_PLAN_INDEXED_V2: [u8; 17] = [
+        0x55, 0x50, 0x4c, 0x4e, 0x02, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x01, //
+        0x00, 0x01, 0x02, 0x00, 0x03, //
+    ];
+
+    /// One empty plan, unchecked version 2, no index.
+    const ONE_EMPTY_PLAN_V2: [u8; 10] = [
+        0x55, 0x50, 0x4c, 0x4e, 0x02, 0x00, 0x01, 0x00, 0x00, 0x00, //
+    ];
+
+    /// Rewrites a v2 no-index document as its exact v1 equivalent: the
+    /// version varint drops to 1 and the trailing zero index flag (which v1
+    /// does not have) is removed. Byte-exact because both versions encode
+    /// plans identically.
     fn downgrade_to_v1(mut bytes: Vec<u8>) -> Vec<u8> {
         assert_eq!(bytes[4], 2, "version varint");
         assert_eq!(bytes.last(), Some(&0), "no-index flag");
@@ -1407,23 +1230,19 @@ mod tests {
         }
     }
 
-    fn indexed_document() -> Vec<u8> {
-        let mut enc = BinaryEncoder::new();
-        enc.push(&sample()).unwrap();
-        enc.push(&UnifiedPlan::with_root(PlanNode::producer("Index_Scan")))
-            .unwrap();
-        enc.push(&UnifiedPlan::new()).unwrap();
-        enc.finish_with_index(&sample_index())
+    /// The plans of [`INDEXED_V3`] and [`FEATURED_V4`].
+    fn indexed_plans() -> Vec<UnifiedPlan> {
+        vec![
+            sample(),
+            UnifiedPlan::with_root(PlanNode::producer("Index_Scan")),
+            UnifiedPlan::new(),
+        ]
     }
 
     #[test]
     fn v1_documents_still_decode_identically() {
         let plans = [sample(), UnifiedPlan::new()];
-        let mut enc = BinaryEncoder::unchecked();
-        for plan in &plans {
-            enc.push(plan).unwrap();
-        }
-        let v2 = enc.finish();
+        let v2 = UNCHECKED_V2.to_vec();
         let v1 = downgrade_to_v1(v2.clone());
         let (from_v1, ix1) = decode_all(&v1).unwrap();
         let (from_v2, ix2) = decode_all(&v2).unwrap();
@@ -1439,12 +1258,11 @@ mod tests {
 
     #[test]
     fn index_section_round_trips() {
-        let bytes = indexed_document();
-        let (plans, index) = decode_all(&bytes).unwrap();
-        assert_eq!(plans.len(), 3);
+        let (plans, index) = decode_all(&INDEXED_V3).unwrap();
+        assert_eq!(plans, indexed_plans());
         assert_eq!(index, Some(sample_index()));
         // The index only becomes available after exhaustion.
-        let mut dec = BinaryDecoder::new(&bytes).unwrap();
+        let mut dec = BinaryDecoder::new(&INDEXED_V3).unwrap();
         assert!(dec.take_index().is_none());
     }
 
@@ -1455,29 +1273,19 @@ mod tests {
         }
     }
 
-    fn featured_document() -> Vec<u8> {
-        let mut enc = BinaryEncoder::new();
-        enc.push(&sample()).unwrap();
-        enc.push(&UnifiedPlan::with_root(PlanNode::producer("Index_Scan")))
-            .unwrap();
-        enc.push(&UnifiedPlan::new()).unwrap();
-        enc.finish_with_sections(&sample_index(), &sample_features())
-    }
-
     #[test]
     fn feature_section_round_trips_as_version_4() {
-        let bytes = featured_document();
-        let mut dec = BinaryDecoder::new(&bytes).unwrap();
+        let mut dec = BinaryDecoder::new(&FEATURED_V4).unwrap();
         assert_eq!(dec.version(), FEATURED_BINARY_VERSION);
         assert!(dec.take_features().is_none(), "only after exhaustion");
         let mut plans = Vec::new();
         while let Some(plan) = dec.next_plan().unwrap() {
             plans.push(plan);
         }
-        assert_eq!(plans.len(), 3);
+        assert_eq!(plans, indexed_plans());
         assert_eq!(dec.take_index(), Some(sample_index()));
         assert_eq!(dec.take_features(), Some(sample_features()));
-        // Featureless documents keep their exact pre-v4 encoding.
+        // The writer stays on version 3.
         let mut enc = BinaryEncoder::new();
         enc.push(&sample()).unwrap();
         let plain = enc.finish();
@@ -1486,7 +1294,7 @@ mod tests {
 
     #[test]
     fn featured_documents_reject_corruption_and_hostile_sections() {
-        let bytes = featured_document();
+        let bytes = FEATURED_V4.to_vec();
         for len in 0..bytes.len() {
             assert!(decode_all(&bytes[..len]).is_err(), "truncated at {len}");
         }
@@ -1498,9 +1306,7 @@ mod tests {
         // A v3 document must not claim a feature section: flag bit 1 is
         // admitted from version 4 on only. (Flip the flag byte in an
         // unchecked v2 document so no checksum masks the structural error.)
-        let mut enc = BinaryEncoder::unchecked();
-        enc.push(&UnifiedPlan::new()).unwrap();
-        let mut doc = enc.finish();
+        let mut doc = ONE_EMPTY_PLAN_V2.to_vec();
         let pos = doc.len() - 1;
         assert_eq!(doc[pos], 0);
         doc[pos] = 0b10;
@@ -1539,7 +1345,7 @@ mod tests {
         // Every strict prefix — plan bodies, the index flag byte, the
         // section header, every edge — must error, never panic or silently
         // drop the index.
-        let bytes = indexed_document();
+        let bytes = INDEXED_V3.to_vec();
         for len in 0..bytes.len() {
             assert!(decode_all(&bytes[..len]).is_err(), "truncated at {len}");
         }
@@ -1583,22 +1389,23 @@ mod tests {
         // Non-causal parent edge: one 2-node shard whose node 1 claims
         // parent 1 (itself). Unchecked layout, so the mutation reaches the
         // structural validator instead of tripping the tail checksum.
-        let mut enc = BinaryEncoder::unchecked();
-        enc.push(&UnifiedPlan::new()).unwrap();
-        enc.push(&UnifiedPlan::new()).unwrap();
-        let good = enc.finish_with_index(&IndexSection {
-            fingerprint_flags: 0,
-            shards: vec![ShardTopology {
-                nodes: 2,
-                edges: vec![(0, 3)],
-            }],
-        });
+        let good = TWO_PLAN_INDEXED_V2.to_vec();
         let mut non_causal = good.clone();
         let parent_pos = good.len() - 2;
         non_causal[parent_pos] = 1;
         let err = decode_all(&non_causal).unwrap_err();
         assert!(err.to_string().contains("non-causal"), "{err}");
-        assert!(decode_all(&good).is_ok());
+        let (_, index) = decode_all(&good).unwrap();
+        assert_eq!(
+            index,
+            Some(IndexSection {
+                fingerprint_flags: 0,
+                shards: vec![ShardTopology {
+                    nodes: 2,
+                    edges: vec![(0, 3)],
+                }],
+            })
+        );
     }
 
     #[test]
@@ -1752,8 +1559,7 @@ mod tests {
         }
     }
 
-    /// A multi-block v3 document: `n` small distinct plans plus an
-    /// optionally attached (single-shard) index.
+    /// A multi-block v3 document of `n` small distinct plans.
     fn multi_block_document(n: usize) -> (Vec<UnifiedPlan>, Vec<u8>) {
         let plans: Vec<UnifiedPlan> = (0..n)
             .map(|i| {
@@ -1797,98 +1603,5 @@ mod tests {
                 "inverted byte {i} went undetected"
             );
         }
-    }
-
-    #[test]
-    fn salvage_recovers_exactly_the_blocks_before_a_truncation() {
-        let (plans, bytes) = multi_block_document(600);
-        let sections = section_map(&bytes).unwrap();
-        // header + ceil(600/256) blocks + tail.
-        assert_eq!(sections.len(), 2 + 600usize.div_ceil(256));
-        assert_eq!(sections.last().unwrap().end, bytes.len());
-        assert_eq!(sections.last().unwrap().plans, 600);
-        for boundary in &sections {
-            let outcome = salvage(&bytes[..boundary.end]);
-            assert!(outcome.verified);
-            assert_eq!(outcome.declared, 600);
-            assert_eq!(outcome.plans.len() as u64, boundary.plans, "{boundary:?}");
-            assert_eq!(outcome.dropped(), 600 - boundary.plans);
-            assert_eq!(outcome.plans[..], plans[..boundary.plans as usize]);
-            // Only the untruncated document is clean.
-            assert_eq!(outcome.error.is_none(), boundary.end == bytes.len());
-        }
-    }
-
-    #[test]
-    fn salvage_stops_at_a_corrupted_block_and_reports_it() {
-        let (plans, bytes) = multi_block_document(600);
-        let sections = section_map(&bytes).unwrap();
-        // Flip one byte inside the second block's plan bodies.
-        let mut corrupt = bytes.clone();
-        let offset = sections[1].end + 8;
-        corrupt[offset] ^= 0x10;
-        let outcome = salvage(&corrupt);
-        assert_eq!(outcome.plans.len(), 256, "first block survives");
-        assert_eq!(outcome.plans[..], plans[..256]);
-        assert_eq!(outcome.dropped(), 600 - 256);
-        assert!(
-            matches!(outcome.error, Some(Error::Checksum { ref section, .. }) if section == "plan block 1"),
-            "{:?}",
-            outcome.error
-        );
-        // A corrupted *tail* loses only the index: every plan survives.
-        let mut tail_corrupt = bytes.clone();
-        let last = tail_corrupt.len() - 3;
-        tail_corrupt[last] ^= 0x01;
-        let outcome = salvage(&tail_corrupt);
-        assert_eq!(outcome.plans.len(), 600);
-        assert!(outcome.index.is_none());
-        assert!(outcome.error.is_some());
-    }
-
-    #[test]
-    fn salvage_of_an_intact_document_is_lossless() {
-        let bytes = indexed_document();
-        let outcome = salvage(&bytes);
-        assert!(outcome.error.is_none());
-        assert_eq!(outcome.plans.len(), 3);
-        assert_eq!(outcome.dropped(), 0);
-        assert_eq!(outcome.index, Some(sample_index()));
-    }
-
-    #[test]
-    fn salvage_of_unchecked_documents_is_best_effort() {
-        let plans = [sample(), UnifiedPlan::new(), sample()];
-        let mut enc = BinaryEncoder::unchecked();
-        for plan in &plans {
-            enc.push(plan).unwrap();
-        }
-        let bytes = enc.finish();
-        let sections = section_map(&bytes).unwrap();
-        // Pre-v3 sections are per-plan; truncating after the second plan
-        // recovers two (decodable, unverified) plans.
-        let cut = sections[2].end;
-        let outcome = salvage(&bytes[..cut]);
-        assert!(!outcome.verified);
-        assert_eq!(outcome.plans.len(), 2);
-        assert_eq!(outcome.plans[..], plans[..2]);
-        assert!(outcome.error.is_some());
-    }
-
-    #[test]
-    fn salvage_never_panics_on_arbitrary_corruption() {
-        let (_, bytes) = multi_block_document(40);
-        for i in 0..bytes.len() {
-            for bit in [0u8, 3, 7] {
-                let mut corrupt = bytes.clone();
-                corrupt[i] ^= 1 << bit;
-                let _ = salvage(&corrupt);
-            }
-        }
-        for len in 0..bytes.len() {
-            let _ = salvage(&bytes[..len]);
-        }
-        let _ = salvage(b"");
-        let _ = salvage(b"UPLN");
     }
 }

@@ -24,17 +24,16 @@
 //!   parallelism*: any thread count produces byte-identical corpora,
 //!   because shard routing is a pure function of the fingerprint and each
 //!   shard sees its plans in stream order.
-//! * **Persistence** is the versioned binary codec of
-//!   [`uplan_core::formats::binary`] (one shared symbol table for the whole
-//!   corpus) with a JSON-lines fallback for interchange; [`ShardedCorpus::load`]
-//!   sniffs the magic bytes and accepts either. Version ≥ 2 documents can
-//!   carry the BK-index topology ([`ShardedCorpus::save_indexed`]), in
-//!   which case loading reconstructs the metric index with **zero** TED
-//!   evaluations; v1 documents (and index-free ones) rebuild it. Saves
-//!   default to the checksummed v3 layout, so a corrupted or truncated
-//!   file fails *detectably* — and [`ShardedCorpus::load_salvage`]
-//!   recovers the longest verified prefix of plans instead of losing the
-//!   corpus, reporting exactly what was dropped ([`SalvageReport`]).
+//! * **Persistence** is one format: the append-only
+//!   [`segment::SegmentStore`], a directory of CRC-checked immutable
+//!   segments that carry the BK-index topology, so opening reconstructs
+//!   the metric index with **zero** TED evaluations and decodes plan
+//!   bodies lazily. [`SegmentStore::salvage`] recovers every intact
+//!   segment of a damaged store. Monolithic UPLN documents from earlier
+//!   releases and JSON lines are read-only input
+//!   ([`ShardedCorpus::from_legacy`], which adopts a persisted index when
+//!   present) to be imported into a store; [`ShardedCorpus::to_jsonl`]
+//!   exports for interchange.
 //!
 //! The store is the substrate the testing loop observes plans through
 //! (`uplan-testing`'s QPG), the `repro corpus` CLI manages, and
@@ -49,14 +48,10 @@ pub mod service;
 mod shard;
 
 use std::collections::{BinaryHeap, HashSet};
-use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 use uplan_core::fingerprint::{fingerprint_with, Fingerprint, FingerprintOptions};
-use uplan_core::formats::binary::{
-    self, BinaryDecoder, BinaryEncoder, FeatureSection, IndexSection, ShardTopology, BINARY_MAGIC,
-    MAX_INDEX_SHARDS,
-};
+use uplan_core::formats::binary::{BinaryDecoder, IndexSection, BINARY_MAGIC, MAX_INDEX_SHARDS};
 use uplan_core::formats::unified;
 use uplan_core::ted::{BoundedTed, TedPlan, TedScratch};
 use uplan_core::{Error, Result, UnifiedPlan};
@@ -95,8 +90,8 @@ fn corpus_metrics() -> &'static CorpusMetrics {
 
 pub use query::{QueryError, QueryKind, QueryOutcome, QueryRequest, QueryResponse};
 pub use segment::{
-    segment_file, AppendReport, CompactReport, SegmentCensus, SegmentSalvageReport, SegmentStore,
-    MANIFEST_FILE,
+    encode_store, segment_file, AppendReport, CompactReport, SegmentCensus, SegmentSalvageReport,
+    SegmentStore, StoreImage, MANIFEST_FILE,
 };
 pub use service::{
     CorpusService, CorpusSnapshot, MergeReport, ServiceError, SnapshotReader,
@@ -167,31 +162,6 @@ pub struct Cluster {
     pub leader: usize,
     /// `(plan id, TED distance to leader)`, leader first at distance 0.
     pub members: Vec<(usize, u32)>,
-}
-
-/// What a lenient load ([`ShardedCorpus::load_salvage`]) recovered from a
-/// possibly damaged corpus file (`repro corpus salvage`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SalvageReport {
-    /// Plans the file declared: the binary header's plan count, or the
-    /// number of non-empty lines of a JSONL file.
-    pub declared: u64,
-    /// Plans successfully decoded from the file.
-    pub decoded: usize,
-    /// Distinct plans stored (`decoded` minus fingerprint duplicates).
-    pub recovered: usize,
-    /// Declared plans lost to corruption or truncation.
-    pub dropped: u64,
-    /// `true` when every recovered plan came from CRC-verified bytes
-    /// (binary v3); pre-checksum and JSONL recoveries are
-    /// decodable-not-verified.
-    pub verified: bool,
-    /// Why recovery stopped early (first error, with position) — `None`
-    /// for a file that was intact end to end.
-    pub error: Option<String>,
-    /// `true` when the metric index had to be rebuilt instead of adopted
-    /// (always the case once any plan was dropped).
-    pub index_rebuilt: bool,
 }
 
 /// Outcome of diffing two corpora (`repro corpus diff`).
@@ -351,9 +321,9 @@ impl ShardedCorpus {
     }
 
     /// TED evaluations spent *building* the metric index so far (BK insert
-    /// routing, summed over shards). Zero after a load that adopted a
-    /// persisted index — the number `corpus/load_binary_indexed_10k` gates
-    /// on.
+    /// routing, summed over shards). Zero after a store open (or a legacy
+    /// decode) that adopted a persisted index — the number the `stats`
+    /// reload gate checks.
     pub fn index_evals(&self) -> u64 {
         self.shards.iter().map(|s| s.index_evals).sum()
     }
@@ -1193,78 +1163,27 @@ impl ShardedCorpus {
     // Persistence
     // -----------------------------------------------------------------------
 
-    fn encode_into(&self, mut enc: BinaryEncoder) -> Result<BinaryEncoder> {
-        for (_, plan) in self.iter() {
-            enc.push(plan)?;
+    /// Decodes a legacy corpus file — a monolithic UPLN document (any
+    /// version) or JSON lines, told apart by the UPLN magic bytes — with
+    /// the strict decoders below. The one read path for corpora written
+    /// before the segment store; `repro corpus import` stores the result.
+    pub fn from_legacy(bytes: &[u8]) -> Result<ShardedCorpus> {
+        if bytes.starts_with(&BINARY_MAGIC) {
+            return Self::from_binary(bytes);
         }
-        Ok(enc)
+        let text = std::str::from_utf8(bytes)
+            .map_err(|_| Error::Semantic("neither a UPLN document nor UTF-8 JSON lines".into()))?;
+        Self::from_jsonl(text)
     }
 
-    fn index_section(&self) -> IndexSection {
-        IndexSection {
-            fingerprint_flags: options_flags(self.options),
-            shards: self
-                .shards
-                .iter()
-                .map(|s| ShardTopology {
-                    nodes: s.len() as u64,
-                    edges: s.index.edges(),
-                })
-                .collect(),
-        }
-    }
-
-    fn feature_section(&self) -> FeatureSection {
-        let mut values = Vec::with_capacity(self.directory.len() * FEATURE_DIM);
-        for &(s, local) in &self.directory {
-            values.extend_from_slice(&self.shards[s as usize].features[local as usize]);
-        }
-        FeatureSection {
-            dim: FEATURE_DIM as u32,
-            values,
-        }
-    }
-
-    /// Serializes the distinct plans as one binary document (shared symbol
-    /// table, see [`uplan_core::formats::binary`]) *without* the index
-    /// section — loading rebuilds the BK-trees. Errors only when a stored
-    /// plan exceeds the codec's depth limit.
-    pub fn to_binary(&self) -> Result<Vec<u8>> {
-        Ok(self.encode_into(BinaryEncoder::new())?.finish())
-    }
-
-    /// Serializes the distinct plans *plus* the BK-index topology (the
-    /// UPLN index section: per shard, one parent edge with its cached TED
-    /// per non-root node) *plus* the per-plan structural feature vectors
-    /// (the UPLN v4 feature section), so [`ShardedCorpus::from_binary`]
-    /// reconstructs the metric index with zero TED evaluations and adopts
-    /// the approximate-query pre-filter without recomputing it. Writes the
-    /// checksummed featured (v4) document version.
-    pub fn to_binary_indexed(&self) -> Result<Vec<u8>> {
-        Ok(self
-            .encode_into(BinaryEncoder::new())?
-            .finish_with_sections(&self.index_section(), &self.feature_section()))
-    }
-
-    /// [`ShardedCorpus::to_binary_indexed`] in the pre-checksum (v2)
-    /// layout: byte-identical plan bodies, no CRC sections. Kept for
-    /// interop with older readers and for measuring the checksum overhead
-    /// over the same population (`corpus/load_binary_indexed_10k` vs
-    /// `corpus/load_binary_checked_10k`); new corpora should prefer the
-    /// checked default.
-    pub fn to_binary_indexed_unchecked(&self) -> Result<Vec<u8>> {
-        Ok(self
-            .encode_into(BinaryEncoder::unchecked())?
-            .finish_with_index(&self.index_section()))
-    }
-
-    /// Loads a corpus from a binary document, rebuilding dedup state and —
-    /// when the document carries an index section written under the same
-    /// fingerprint options — adopting the persisted BK topology with zero
-    /// TED evaluations ([`ShardedCorpus::has_persisted_index`]). Index-free
-    /// documents (v1, or v2 saved without [`ShardedCorpus::save_indexed`])
-    /// rebuild the index. Only the distinct plan set is persisted, so the
-    /// loaded corpus's session counters restart at `observed == len`.
+    /// Decodes a legacy monolithic UPLN document (any version the decoder
+    /// reads), rebuilding dedup state and — when the document carries an
+    /// index section written under the same fingerprint options —
+    /// adopting the persisted BK topology with zero TED evaluations
+    /// ([`ShardedCorpus::has_persisted_index`]). Index-free documents
+    /// rebuild the index. Nothing writes these documents any more. Only the distinct plan set
+    /// is persisted, so the loaded corpus's session counters restart at
+    /// `observed == len`.
     pub fn from_binary(bytes: &[u8]) -> Result<ShardedCorpus> {
         Self::from_binary_with_options(bytes, FingerprintOptions::default())
     }
@@ -1366,122 +1285,6 @@ impl ShardedCorpus {
         Ok(corpus)
     }
 
-    /// Lenient binary load: recovers the longest decodable prefix of a
-    /// possibly corrupted or truncated document instead of failing
-    /// wholesale (see [`uplan_core::formats::binary::salvage`]). Never
-    /// errors — a hopeless file yields an empty corpus and a report
-    /// saying why. When any plan was dropped (or index adoption failed)
-    /// the metric index is rebuilt from the survivors.
-    pub fn from_binary_salvage(bytes: &[u8]) -> (ShardedCorpus, SalvageReport) {
-        Self::from_binary_salvage_with_options(bytes, FingerprintOptions::default())
-    }
-
-    /// [`ShardedCorpus::from_binary_salvage`] with explicit fingerprint
-    /// options.
-    pub fn from_binary_salvage_with_options(
-        bytes: &[u8],
-        options: FingerprintOptions,
-    ) -> (ShardedCorpus, SalvageReport) {
-        let outcome = binary::salvage(bytes);
-        let declared = outcome.declared;
-        let decoded = outcome.plans.len();
-        let mut error = outcome.error.as_ref().map(ToString::to_string);
-        if error.is_none() {
-            // Intact document: take the strict path (adopting a persisted
-            // index where possible). Falls through when the index section
-            // is structurally unusable — the plans still salvage.
-            match Self::from_binary_with_options(bytes, options) {
-                Ok(corpus) => {
-                    let report = SalvageReport {
-                        declared,
-                        decoded,
-                        recovered: corpus.len(),
-                        dropped: 0,
-                        verified: outcome.verified,
-                        error: None,
-                        index_rebuilt: !corpus.has_persisted_index(),
-                    };
-                    return (corpus, report);
-                }
-                Err(e) => error = Some(e.to_string()),
-            }
-        }
-        let mut corpus = ShardedCorpus::with_options(options);
-        for plan in outcome.plans {
-            corpus.insert(plan);
-        }
-        let report = SalvageReport {
-            declared,
-            decoded,
-            recovered: corpus.len(),
-            dropped: declared.saturating_sub(decoded as u64),
-            verified: outcome.verified,
-            error,
-            index_rebuilt: !corpus.is_empty(),
-        };
-        (corpus, report)
-    }
-
-    /// Lenient JSON-lines load: skips unparseable lines instead of
-    /// aborting, reporting how many were dropped and the first failure.
-    pub fn from_jsonl_salvage_with_options(
-        text: &str,
-        options: FingerprintOptions,
-    ) -> (ShardedCorpus, SalvageReport) {
-        let mut corpus = ShardedCorpus::with_options(options);
-        let mut declared = 0u64;
-        let mut decoded = 0usize;
-        let mut error = None;
-        for (number, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            declared += 1;
-            match unified::from_json(line) {
-                Ok(plan) => {
-                    decoded += 1;
-                    corpus.insert(plan);
-                }
-                Err(e) => {
-                    if error.is_none() {
-                        error = Some(format!("line {}: {e}", number + 1));
-                    }
-                }
-            }
-        }
-        let report = SalvageReport {
-            declared,
-            decoded,
-            recovered: corpus.len(),
-            dropped: declared - decoded as u64,
-            verified: false,
-            error,
-            index_rebuilt: !corpus.is_empty(),
-        };
-        (corpus, report)
-    }
-
-    /// Lenient counterpart of [`ShardedCorpus::load`]: sniffs the format
-    /// and recovers what it can from a damaged file. Errors only when the
-    /// file cannot be read at all (an *operational* failure, distinct from
-    /// corrupt contents, which always salvage — possibly to zero plans).
-    pub fn load_salvage(path: impl AsRef<Path>) -> Result<(ShardedCorpus, SalvageReport)> {
-        let bytes = std::fs::read(path.as_ref()).map_err(|e| {
-            Error::Semantic(format!("cannot read {}: {e}", path.as_ref().display()))
-        })?;
-        if bytes.starts_with(&BINARY_MAGIC) {
-            return Ok(Self::from_binary_salvage(&bytes));
-        }
-        // Not a binary document: treat as JSONL, decoding lossily so a
-        // stretch of non-UTF-8 garbage costs its lines, not the file.
-        let text = String::from_utf8_lossy(&bytes);
-        Ok(Self::from_jsonl_salvage_with_options(
-            &text,
-            FingerprintOptions::default(),
-        ))
-    }
-
     /// Serializes the distinct plans as JSON lines (one compact unified
     /// JSON document per line) — the interchange form (no index section).
     pub fn to_jsonl(&self) -> String {
@@ -1512,42 +1315,6 @@ impl ShardedCorpus {
             corpus.insert(unified::from_json(line)?);
         }
         Ok(corpus)
-    }
-
-    /// Writes the corpus to `path` in binary form without an index
-    /// section (the index is rebuilt on load).
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        Self::write(path, self.to_binary()?)
-    }
-
-    /// Writes the corpus to `path` in binary form *with* the persisted
-    /// BK-index, making the next load index-free (zero TED evaluations).
-    pub fn save_indexed(&self, path: impl AsRef<Path>) -> Result<()> {
-        Self::write(path, self.to_binary_indexed()?)
-    }
-
-    fn write(path: impl AsRef<Path>, bytes: Vec<u8>) -> Result<()> {
-        std::fs::write(path.as_ref(), bytes)
-            .map_err(|e| Error::Semantic(format!("cannot write {}: {e}", path.as_ref().display())))
-    }
-
-    /// Reads a corpus from `path`, sniffing the format: a directory opens
-    /// as a lazy [`segment::SegmentStore`], the binary magic selects the
-    /// binary codec (adopting a persisted index when present), anything
-    /// else parses as JSON lines.
-    pub fn load(path: impl AsRef<Path>) -> Result<ShardedCorpus> {
-        if path.as_ref().is_dir() {
-            return Ok(segment::SegmentStore::open(path.as_ref())?.into_corpus());
-        }
-        let bytes = std::fs::read(path.as_ref()).map_err(|e| {
-            Error::Semantic(format!("cannot read {}: {e}", path.as_ref().display()))
-        })?;
-        if bytes.starts_with(&BINARY_MAGIC) {
-            return Self::from_binary(&bytes);
-        }
-        let text = std::str::from_utf8(&bytes)
-            .map_err(|_| Error::Semantic("corpus file is neither binary nor UTF-8 JSONL".into()))?;
-        Self::from_jsonl(text)
     }
 
     /// Distinct fingerprints as a set (cross-corpus bookkeeping).
@@ -1697,7 +1464,7 @@ mod tests {
         for plan in &stream {
             sequential.observe(plan);
         }
-        let reference_bytes = sequential.to_binary_indexed().unwrap();
+        let reference_bytes = encode_store(&sequential).unwrap();
         let reference_stats = sequential.stats();
 
         for threads in [1usize, 2, 4, 7] {
@@ -1706,7 +1473,7 @@ mod tests {
             assert_eq!(novel, sequential.len(), "threads {threads}");
             assert_eq!(corpus.stats(), reference_stats, "threads {threads}");
             assert_eq!(
-                corpus.to_binary_indexed().unwrap(),
+                encode_store(&corpus).unwrap(),
                 reference_bytes,
                 "threads {threads}: corpus bytes diverged"
             );
@@ -1723,8 +1490,8 @@ mod tests {
         warm_par.ingest_parallel(&stream[..100], 3);
         warm_par.ingest_parallel(&stream[100..], 4);
         assert_eq!(
-            warm_par.to_binary_indexed().unwrap(),
-            warm_seq.to_binary_indexed().unwrap()
+            encode_store(&warm_par).unwrap(),
+            encode_store(&warm_seq).unwrap()
         );
     }
 
@@ -1814,6 +1581,52 @@ mod tests {
         assert!(diff.beyond_radius_left.contains(&5));
     }
 
+    /// `population()` as a legacy indexed (v4) corpus document, pinned from
+    /// the last release that wrote monolithic corpora.
+    const POPULATION_INDEXED_V4: [u8; 265] = [
+        0x55, 0x50, 0x4c, 0x4e, 0x04, 0x06, 0x06, 0x53, 0x63, 0x61, 0x6e, 0x5f, //
+        0x41, 0x06, 0x47, 0x61, 0x74, 0x68, 0x65, 0x72, 0x06, 0x53, 0x63, 0x61, //
+        0x6e, 0x5f, 0x42, 0x04, 0x53, 0x6f, 0x72, 0x74, 0x07, 0x43, 0x6f, 0x6c, //
+        0x6c, 0x65, 0x63, 0x74, 0x04, 0x48, 0x61, 0x73, 0x68, 0x06, 0x62, 0xed, //
+        0x81, 0x03, 0x48, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x05, 0x01, //
+        0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x05, 0x01, 0x00, 0x01, //
+        0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x05, 0x01, 0x00, 0x01, 0x05, 0x03, //
+        0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x05, 0x04, 0x00, 0x01, //
+        0x05, 0x03, 0x00, 0x01, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x05, 0x04, //
+        0x00, 0x01, 0x05, 0x03, 0x00, 0x01, 0x05, 0x05, 0x00, 0x01, 0x00, 0x02, //
+        0x00, 0x00, 0x00, 0x6e, 0x03, 0xce, 0x0c, 0x03, 0x13, 0x04, 0x01, 0x00, //
+        0x01, 0x04, 0x00, 0x02, 0x01, 0x02, 0x00, 0x03, 0x14, 0x01, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, //
+        0x00, 0x02, 0x02, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+        0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x02, 0x02, 0x01, //
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x00, //
+        0x00, 0x00, 0x02, 0x00, 0x00, 0x03, 0x03, 0x01, 0x02, 0x00, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, //
+        0x00, 0x03, 0x03, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+        0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x04, 0x04, 0x01, //
+        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0xab, 0x96, 0x13, //
+        0xaf, //
+    ];
+
+    /// The same plans under an index section whose first shard swapped node
+    /// counts with a differently sized shard: totals still match the plan
+    /// count, but per-shard populations cannot.
+    const POPULATION_SWAPPED_INDEX_V3: [u8; 144] = [
+        0x55, 0x50, 0x4c, 0x4e, 0x03, 0x06, 0x06, 0x53, 0x63, 0x61, 0x6e, 0x5f, //
+        0x41, 0x06, 0x47, 0x61, 0x74, 0x68, 0x65, 0x72, 0x06, 0x53, 0x63, 0x61, //
+        0x6e, 0x5f, 0x42, 0x04, 0x53, 0x6f, 0x72, 0x74, 0x07, 0x43, 0x6f, 0x6c, //
+        0x6c, 0x65, 0x63, 0x74, 0x04, 0x48, 0x61, 0x73, 0x68, 0x06, 0x6a, 0x7f, //
+        0xcf, 0xd2, 0x48, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x05, 0x01, //
+        0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x05, 0x01, 0x00, 0x01, //
+        0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x05, 0x01, 0x00, 0x01, 0x05, 0x03, //
+        0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x05, 0x04, 0x00, 0x01, //
+        0x05, 0x03, 0x00, 0x01, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x05, 0x04, //
+        0x00, 0x01, 0x05, 0x03, 0x00, 0x01, 0x05, 0x05, 0x00, 0x01, 0x00, 0x02, //
+        0x00, 0x00, 0x00, 0x6e, 0x03, 0xce, 0x0c, 0x01, 0x13, 0x04, 0x00, 0x01, //
+        0x01, 0x04, 0x00, 0x02, 0x01, 0x02, 0x00, 0x03, 0x96, 0x52, 0xd2, 0x6e, //
+    ];
+
     #[test]
     fn binary_and_jsonl_round_trips_preserve_identity() {
         let mut corpus = PlanCorpus::new();
@@ -1824,7 +1637,12 @@ mod tests {
             "series", 4,
         )]));
 
-        let bin = PlanCorpus::from_binary(&corpus.to_binary().unwrap()).unwrap();
+        // An index-free document rebuilds the index on decode.
+        let mut enc = uplan_core::formats::binary::BinaryEncoder::new();
+        for (_, plan) in corpus.iter() {
+            enc.push(plan).unwrap();
+        }
+        let bin = PlanCorpus::from_binary(&enc.finish()).unwrap();
         assert_eq!(bin.len(), corpus.len());
         assert!(!bin.has_persisted_index());
         let jsonl = PlanCorpus::from_jsonl(&corpus.to_jsonl()).unwrap();
@@ -1845,8 +1663,14 @@ mod tests {
         }
         assert!(corpus.index_evals() > 0, "building the index costs TED");
 
-        let bytes = corpus.to_binary_indexed().unwrap();
-        let loaded = PlanCorpus::from_binary(&bytes).unwrap();
+        let dir = std::env::temp_dir().join(format!(
+            "uplan-corpus-indexed-round-trip-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let image = encode_store(&corpus).unwrap();
+        SegmentStore::create(&dir, corpus.clone()).unwrap();
+        let loaded = SegmentStore::open(&dir).unwrap().into_corpus();
         // The headline contract: not one TED evaluation spent loading.
         assert_eq!(loaded.index_evals(), 0);
         assert!(loaded.has_persisted_index());
@@ -1867,93 +1691,66 @@ mod tests {
             let b = loaded.knn_query(probe, 5);
             assert_eq!(a, b);
         }
-        // Saving the loaded corpus reproduces the document byte for byte.
-        assert_eq!(loaded.to_binary_indexed().unwrap(), bytes);
+        // Re-encoding the loaded corpus reproduces the store byte for byte.
+        assert_eq!(encode_store(&loaded).unwrap(), image);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn foreign_option_indexes_are_ignored_not_trusted() {
         // An index persisted under different fingerprint options routes
-        // differently; the loader must fall back to rebuilding, not adopt
+        // differently; the decoder must fall back to rebuilding, not adopt
         // a wrong topology.
-        let mut corpus = PlanCorpus::new();
-        for plan in population() {
-            corpus.insert(plan);
-        }
-        let bytes = corpus.to_binary_indexed().unwrap();
+        let native = PlanCorpus::from_binary(&POPULATION_INDEXED_V4).unwrap();
+        assert!(native.has_persisted_index());
+        assert_eq!(native.index_evals(), 0);
         let strict = FingerprintOptions {
             include_configuration_keys: false,
             ..FingerprintOptions::default()
         };
-        let loaded = PlanCorpus::from_binary_with_options(&bytes, strict).unwrap();
+        let loaded = PlanCorpus::from_binary_with_options(&POPULATION_INDEXED_V4, strict).unwrap();
         assert!(!loaded.has_persisted_index());
-        assert_eq!(loaded.len(), corpus.len());
+        assert_eq!(loaded.len(), population().len());
         assert_eq!(loaded.options(), strict);
     }
 
     #[test]
     fn corrupted_index_sections_error_rather_than_misanswer() {
-        let mut corpus = PlanCorpus::new();
-        for plan in population() {
-            corpus.insert(plan);
-        }
-        let good = corpus.to_binary_indexed().unwrap();
-        // Find the index flag: it is the first byte of the trailing
-        // section; corrupt a shard's node count right after the flags
-        // byte + shard count varint so populations mismatch. Rather than
-        // byte-surgery, rewrite the section wholesale through the encoder.
-        let mut enc = BinaryEncoder::new();
-        for (_, plan) in corpus.iter() {
-            enc.push(plan).unwrap();
-        }
-        let mut shards: Vec<ShardTopology> = corpus
-            .shards
-            .iter()
-            .map(|s| ShardTopology {
-                nodes: s.len() as u64,
-                edges: s.index.edges(),
-            })
-            .collect();
-        // Swap two non-equal node counts: totals still match the plan
-        // count, but per-shard populations cannot.
-        let (a, b) = {
-            let mut it = (0..shards.len()).filter(|&i| shards[i].nodes != shards[0].nodes);
-            (0, it.next().unwrap())
-        };
-        shards.swap(a, b);
-        let bad = enc.finish_with_index(&IndexSection {
-            fingerprint_flags: options_flags(corpus.options()),
-            shards,
-        });
-        let err = PlanCorpus::from_binary(&bad).unwrap_err();
+        let err = PlanCorpus::from_binary(&POPULATION_SWAPPED_INDEX_V3).unwrap_err();
         assert!(err.to_string().contains("persisted index"), "{err}");
-        assert!(PlanCorpus::from_binary(&good).is_ok());
+        let good = PlanCorpus::from_binary(&POPULATION_INDEXED_V4).unwrap();
+        for (id, plan) in population().iter().enumerate() {
+            assert_eq!(good.plan(id), plan);
+        }
     }
 
     #[test]
     fn load_sniffs_binary_and_jsonl() {
-        let dir = std::env::temp_dir();
-        let mut corpus = PlanCorpus::new();
-        for plan in population() {
-            corpus.insert(plan);
+        // An indexed legacy document adopts its index...
+        let indexed = PlanCorpus::from_legacy(&POPULATION_INDEXED_V4).unwrap();
+        assert!(indexed.has_persisted_index());
+        assert_eq!(indexed.len(), population().len());
+        // ...an index-free one rebuilds it...
+        let mut enc = uplan_core::formats::binary::BinaryEncoder::new();
+        for (_, plan) in indexed.iter() {
+            enc.push(plan).unwrap();
         }
-        // Process-unique names: concurrent test runs must not collide.
-        let pid = std::process::id();
-        let bin_path = dir.join(format!("uplan_corpus_test_{pid}.uplanc"));
-        corpus.save_indexed(&bin_path).unwrap();
-        let loaded = PlanCorpus::load(&bin_path).unwrap();
-        assert_eq!(loaded.len(), corpus.len());
-        assert!(loaded.has_persisted_index());
-        let plain_path = dir.join(format!("uplan_corpus_test_plain_{pid}.uplanc"));
-        corpus.save(&plain_path).unwrap();
-        assert!(!PlanCorpus::load(&plain_path).unwrap().has_persisted_index());
-        let jsonl_path = dir.join(format!("uplan_corpus_test_{pid}.jsonl"));
-        std::fs::write(&jsonl_path, corpus.to_jsonl()).unwrap();
-        assert_eq!(PlanCorpus::load(&jsonl_path).unwrap().len(), corpus.len());
-        std::fs::remove_file(bin_path).ok();
-        std::fs::remove_file(plain_path).ok();
-        std::fs::remove_file(jsonl_path).ok();
-        assert!(PlanCorpus::load(dir.join("definitely_missing.uplanc")).is_err());
+        let plain = PlanCorpus::from_legacy(&enc.finish()).unwrap();
+        assert!(!plain.has_persisted_index());
+        // ...and anything without the UPLN magic is JSON lines.
+        let jsonl = PlanCorpus::from_legacy(indexed.to_jsonl().as_bytes()).unwrap();
+        for (id, plan) in indexed.iter() {
+            assert_eq!(plain.plan(id), plan);
+            assert_eq!(jsonl.plan(id), plan);
+        }
+        // Damage is an error, never a short corpus.
+        let mut damaged = POPULATION_INDEXED_V4.to_vec();
+        damaged[60] ^= 0x04;
+        let err = PlanCorpus::from_legacy(&damaged).unwrap_err();
+        assert!(err.to_string().contains("checksum"), "{err}");
+        assert!(PlanCorpus::from_legacy(b"{\"operation\": \"truncated\n").is_err());
+        let err = PlanCorpus::from_legacy(&[0xff, 0xfe, 0x00]).unwrap_err();
+        assert!(err.to_string().contains("neither"), "{err}");
     }
 
     #[test]
@@ -1969,119 +1766,6 @@ mod tests {
         assert_eq!(stats.duplicates, 6);
         assert_eq!(stats.operations, 1 + 2 + 2 + 3 + 3 + 4);
         assert_eq!(stats.max_depth, 4);
-    }
-
-    #[test]
-    fn salvage_load_recovers_the_verified_prefix() {
-        let mut corpus = PlanCorpus::new();
-        for plan in wide_population(300) {
-            corpus.insert(plan);
-        }
-        let bytes = corpus.to_binary_indexed().unwrap();
-
-        // Intact file: salvage is exactly a strict load.
-        let (intact, report) = PlanCorpus::from_binary_salvage(&bytes);
-        assert_eq!(intact.len(), 300);
-        assert_eq!(report.recovered, 300);
-        assert_eq!(report.dropped, 0);
-        assert!(report.error.is_none());
-        assert!(report.verified);
-        assert!(!report.index_rebuilt);
-        assert_eq!(intact.index_evals(), 0);
-
-        // Truncated at the first block boundary: the first 256 plans
-        // survive, fingerprints intact, index rebuilt.
-        let sections = binary::section_map(&bytes).unwrap();
-        let block1 = sections
-            .iter()
-            .find(|s| s.plans == 256)
-            .expect("a 300-plan document spans two blocks");
-        let (salvaged, report) = PlanCorpus::from_binary_salvage(&bytes[..block1.end]);
-        assert_eq!(report.declared, 300);
-        assert_eq!(report.recovered, 256);
-        assert_eq!(report.dropped, 44);
-        assert!(report.verified);
-        assert!(report.index_rebuilt);
-        assert!(report.error.is_some());
-        for id in 0..salvaged.len() {
-            assert_eq!(salvaged.fingerprint(id), corpus.fingerprint(id));
-            assert_eq!(salvaged.plan(id), corpus.plan(id));
-        }
-
-        // A flipped byte mid-plan-stream: strict load errors, salvage
-        // recovers the blocks before it.
-        let mut corrupt = bytes.clone();
-        let offset = sections[1].end + 40;
-        corrupt[offset] ^= 0x40;
-        assert!(PlanCorpus::from_binary(&corrupt).is_err());
-        let (salvaged, report) = PlanCorpus::from_binary_salvage(&corrupt);
-        assert_eq!(salvaged.len(), 256);
-        assert_eq!(report.dropped, 44);
-        assert!(report.error.as_deref().unwrap().contains("checksum"));
-    }
-
-    #[test]
-    fn jsonl_salvage_skips_bad_lines_and_reports_the_first() {
-        let mut corpus = PlanCorpus::new();
-        for plan in population() {
-            corpus.insert(plan);
-        }
-        let mut dirty = String::new();
-        for (i, line) in corpus.to_jsonl().lines().enumerate() {
-            dirty.push_str(line);
-            dirty.push('\n');
-            if i == 1 {
-                dirty.push_str("{\"operation\": \"truncated\n");
-            }
-            if i == 3 {
-                dirty.push_str("complete garbage\n");
-            }
-        }
-        let (salvaged, report) =
-            PlanCorpus::from_jsonl_salvage_with_options(&dirty, FingerprintOptions::default());
-        assert_eq!(salvaged.len(), corpus.len());
-        assert_eq!(report.declared, corpus.len() as u64 + 2);
-        assert_eq!(report.dropped, 2);
-        assert!(report.error.as_deref().unwrap().starts_with("line 3:"));
-        for (id, plan) in corpus.iter() {
-            assert_eq!(salvaged.plan(id), plan);
-        }
-    }
-
-    #[test]
-    fn unchecked_documents_still_round_trip_and_salvage_unverified() {
-        let mut corpus = PlanCorpus::new();
-        for plan in population() {
-            corpus.insert(plan);
-        }
-        let unchecked = corpus.to_binary_indexed_unchecked().unwrap();
-        let checked = corpus.to_binary_indexed().unwrap();
-        assert_ne!(unchecked, checked);
-        let loaded = PlanCorpus::from_binary(&unchecked).unwrap();
-        assert_eq!(loaded.len(), corpus.len());
-        assert!(loaded.has_persisted_index());
-        let (salvaged, report) = PlanCorpus::from_binary_salvage(&unchecked);
-        assert_eq!(salvaged.len(), corpus.len());
-        assert!(!report.verified, "v2 bytes are decodable, not verified");
-        assert!(report.error.is_none());
-    }
-
-    #[test]
-    fn load_salvage_errors_only_on_unreadable_paths() {
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-        let path = dir.join(format!("uplan_salvage_test_{pid}.uplanc"));
-        let mut corpus = PlanCorpus::new();
-        for plan in population() {
-            corpus.insert(plan);
-        }
-        let bytes = corpus.to_binary_indexed().unwrap();
-        // A partial write: half the document.
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        let (_, report) = PlanCorpus::load_salvage(&path).unwrap();
-        assert!(report.error.is_some());
-        std::fs::remove_file(&path).ok();
-        assert!(PlanCorpus::load_salvage(dir.join("definitely_missing.uplanc")).is_err());
     }
 
     #[test]

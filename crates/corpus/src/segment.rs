@@ -11,13 +11,23 @@
 //! └── seg-00002.upls     BK subtree topology
 //! ```
 //!
-//! Three properties the monolithic document cannot offer:
+//! The store is the only way a corpus is written. Monolithic UPLN
+//! documents from earlier releases are read-only legacy input: decode one
+//! with [`ShardedCorpus::from_legacy`] and hand the corpus to
+//! [`SegmentStore::create`] (`repro corpus import`). [`encode_store`] is
+//! the pure byte image `create` writes, and so the canonical encoding of
+//! a corpus wherever byte identity is asserted.
+//!
+//! Three properties the layout is built around:
 //!
 //! * **Append is O(batch).** [`SegmentStore::append`] ingests the batch,
 //!   writes the novel plans as one new segment file, and atomically
 //!   rewrites only the manifest. Existing segments are never reopened,
 //!   so appending 1k plans to a 1M-plan store costs the same as to an
-//!   empty one.
+//!   empty one. The manifest rename is the commit point of every
+//!   mutation: `append` and `compact` stage their in-memory changes and
+//!   publish them only once it succeeds, so a failed write leaves the
+//!   store at its before-state, on disk and in memory.
 //! * **Open is lazy.** [`SegmentStore::open`] decodes manifests, tails
 //!   and topology eagerly but leaves plan payloads as offset-addressed
 //!   bytes: the corpus is queryable in milliseconds and each plan body
@@ -221,6 +231,179 @@ pub struct SegmentCensus {
     pub bytes: SegmentSections,
 }
 
+/// The exact files [`SegmentStore::create`] writes for a corpus (see
+/// [`encode_store`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StoreImage {
+    /// `seg-00000.upls` — absent for an empty corpus.
+    pub segment: Option<Vec<u8>>,
+    /// `manifest.uplm`.
+    pub manifest: Vec<u8>,
+}
+
+impl StoreImage {
+    /// Bytes across both files.
+    pub fn total_bytes(&self) -> usize {
+        self.segment.as_ref().map_or(0, Vec::len) + self.manifest.len()
+    }
+}
+
+/// Encodes `corpus` as a one-segment store without touching the disk: the
+/// segment and manifest bytes [`SegmentStore::create`] writes. The image
+/// covers plan bodies, fingerprints, feature rows and BK edges, so two
+/// corpora have equal images exactly when they hold the same plans in the
+/// same order under the same metric index — the byte-identity oracle of
+/// the determinism tests and gates.
+pub fn encode_store(corpus: &ShardedCorpus) -> Result<StoreImage> {
+    let (manifest, segment) = stage_store(corpus, 0)?;
+    Ok(StoreImage {
+        segment: segment.map(|staged| staged.bytes),
+        manifest: encode_manifest(&manifest),
+    })
+}
+
+/// A segment encoded and recorded in a staged manifest but not yet
+/// written: the file bytes plus what the store publishes once the write
+/// commits.
+struct StagedSegment {
+    bytes: Vec<u8>,
+    census: SegmentCensus,
+    hint: SegmentHint,
+}
+
+/// A fresh manifest for `corpus` with every plan staged as segment `id`
+/// of a new symbol chain (no segment for an empty corpus).
+fn stage_store(corpus: &ShardedCorpus, id: u32) -> Result<(Manifest, Option<StagedSegment>)> {
+    let mut manifest = Manifest {
+        fingerprint_flags: options_flags(corpus.options()),
+        shard_count: corpus.shard_count() as u32,
+        feature_dim: FEATURE_DIM as u32,
+        symbols: Vec::new(),
+        segments: Vec::new(),
+    };
+    let zeros = vec![0usize; corpus.shard_count()];
+    let segment = stage_segment(corpus, &mut manifest, id, 0, &zeros)?;
+    Ok((manifest, segment))
+}
+
+/// Writes a staged segment (if any), then the manifest that commits it —
+/// the rename is the commit point. When the manifest write fails, the
+/// uncommitted segment file is removed again.
+fn commit(dir: &Path, manifest: &Manifest, segment: Option<&StagedSegment>) -> Result<()> {
+    let path = segment.map(|staged| dir.join(segment_file(staged.census.id)));
+    if let (Some(path), Some(staged)) = (&path, segment) {
+        write_atomic(path, &staged.bytes)?;
+    }
+    write_atomic(&dir.join(MANIFEST_FILE), &encode_manifest(manifest)).inspect_err(|_| {
+        if let Some(path) = &path {
+            let _ = std::fs::remove_file(path);
+        }
+    })
+}
+
+/// Encodes globals `start..corpus.len()` as segment `id` and records it
+/// (chain delta and entry) in `manifest`, a staged copy; `counts_before`
+/// are the shard populations before `start`. Pure: nothing is written.
+/// `None` when the range is empty.
+fn stage_segment(
+    corpus: &ShardedCorpus,
+    manifest: &mut Manifest,
+    id: u32,
+    start: usize,
+    counts_before: &[usize],
+) -> Result<Option<StagedSegment>> {
+    let end = corpus.len();
+    if start == end {
+        return Ok(None);
+    }
+    let mut builder = SegmentBuilder::new(&manifest.symbols);
+    let mut fingerprints = Vec::with_capacity(end - start);
+    let mut features = Vec::with_capacity((end - start) * FEATURE_DIM);
+    let mut feature_min = [u32::MAX; FEATURE_DIM];
+    let mut feature_max = [0u32; FEATURE_DIM];
+    let mut min_fp = u64::MAX;
+    let mut max_fp = 0u64;
+    let mut operations = 0u64;
+    let mut max_depth = 0u32;
+    for global in start..end {
+        let plan = corpus.plan(global);
+        builder.push(plan)?;
+        let fp = corpus.fingerprint(global).0;
+        min_fp = min_fp.min(fp);
+        max_fp = max_fp.max(fp);
+        fingerprints.push(fp);
+        let (s, local) = corpus.directory[global];
+        let row = &corpus.shards[s as usize].features[local as usize];
+        for d in 0..FEATURE_DIM {
+            feature_min[d] = feature_min[d].min(row[d]);
+            feature_max[d] = feature_max[d].max(row[d]);
+        }
+        features.extend_from_slice(row);
+        operations += plan.operation_count() as u64;
+        max_depth = max_depth.max(plan.root.as_ref().map_or(0, |r| r.depth()) as u32);
+    }
+    let shards: Vec<SegmentShardEdges> = corpus
+        .shards
+        .iter()
+        .zip(counts_before)
+        .map(|(shard, &base)| {
+            let all = shard.index.edges();
+            let new = if base == 0 {
+                &all[..]
+            } else {
+                &all[base - 1..]
+            };
+            SegmentShardEdges {
+                base: base as u64,
+                count: (shard.len() - base) as u64,
+                edges: new.to_vec(),
+            }
+        })
+        .collect();
+    let finish = SegmentFinish {
+        id,
+        fingerprint_flags: manifest.fingerprint_flags,
+        shard_count: corpus.shard_count() as u32,
+        fingerprints,
+        feature_dim: FEATURE_DIM as u32,
+        features,
+        operations,
+        max_depth,
+        shards,
+    };
+    let (bytes, delta) = builder.finish(&finish);
+    manifest.segments.push(SegmentMeta {
+        id,
+        plan_count: (end - start) as u64,
+        symbols_base: manifest.symbols.len() as u32,
+        symbols_len: delta.len() as u32,
+        operations,
+        max_depth,
+        min_fingerprint: min_fp,
+        max_fingerprint: max_fp,
+        feature_min: feature_min.to_vec(),
+        feature_max: feature_max.to_vec(),
+    });
+    manifest.symbols.extend_from_slice(&delta);
+    // Section census from a re-parse of the encoded bytes — also a cheap
+    // self-check that the file round-trips.
+    let census = SegmentCensus {
+        id,
+        plans: (end - start) as u64,
+        bytes: parse_segment(&bytes)?.sections,
+    };
+    Ok(Some(StagedSegment {
+        bytes,
+        census,
+        hint: SegmentHint {
+            start,
+            count: end - start,
+            feature_min,
+            feature_max,
+        },
+    }))
+}
+
 /// An open append-only segment store: the live corpus plus the directory
 /// that persists it.
 #[derive(Debug)]
@@ -254,38 +437,23 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
 }
 
 impl SegmentStore {
-    /// `true` when `path` looks like a segment-store directory (a
-    /// directory containing a manifest). The format-sniffing counterpart
-    /// of the binary magic check.
-    pub fn is_store_dir(path: impl AsRef<Path>) -> bool {
-        path.as_ref().join(MANIFEST_FILE).is_file()
-    }
-
     /// Creates a store at `dir` (made if missing) persisting `corpus`:
     /// all current plans become segment 0. An empty corpus writes just a
-    /// manifest.
+    /// manifest. The files written are exactly [`encode_store`]'s image.
     pub fn create(dir: impl Into<PathBuf>, corpus: ShardedCorpus) -> Result<SegmentStore> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| write_err(&dir, e))?;
         let mut corpus = corpus;
-        // The store re-derives hints segment by segment.
-        corpus.segment_hints.clear();
-        let mut store = SegmentStore {
-            manifest: Manifest {
-                fingerprint_flags: options_flags(corpus.options()),
-                shard_count: corpus.shard_count() as u32,
-                feature_dim: FEATURE_DIM as u32,
-                symbols: Vec::new(),
-                segments: Vec::new(),
-            },
-            census: Vec::new(),
+        let (manifest, segment) = stage_store(&corpus, 0)?;
+        commit(&dir, &manifest, segment.as_ref())?;
+        let (census, hints) = segment.map(|s| (s.census, s.hint)).into_iter().unzip();
+        corpus.segment_hints = hints;
+        Ok(SegmentStore {
             dir,
+            manifest,
             corpus,
-        };
-        let zeros = vec![0usize; store.corpus.shard_count()];
-        store.write_segment(0, 0, &zeros)?;
-        store.write_manifest()?;
-        Ok(store)
+            census,
+        })
     }
 
     /// Opens a store lazily: manifest, segment tails (offsets,
@@ -298,7 +466,7 @@ impl SegmentStore {
     }
 
     /// [`SegmentStore::open`] with explicit fingerprint options. Unlike
-    /// the monolithic loader (which silently rebuilds on a flags
+    /// the legacy-document decoder (which silently rebuilds on a flags
     /// mismatch), a mismatch here is an error: rebuilding would decode
     /// every plan, which defeats the lazy open — convert explicitly
     /// instead.
@@ -446,16 +614,19 @@ impl SegmentStore {
     /// atomically rewriting the manifest. Cost is O(batch): existing
     /// segment files are neither read nor written. Deterministic — the
     /// same batch produces byte-identical files at any `threads`.
+    ///
+    /// Failure-atomic: when encoding or writing fails, the store reopens
+    /// itself from the last committed manifest before returning the
+    /// error, so memory never holds plans the disk does not, and a retry
+    /// of the same batch admits it again.
     pub fn append(&mut self, plans: &[UnifiedPlan], threads: usize) -> Result<AppendReport> {
         let before: Vec<usize> = self.corpus.shards.iter().map(|s| s.len()).collect();
         let start = self.corpus.len();
         let admitted = self.corpus.ingest_parallel(plans, threads);
-        let (segment_id, segment_bytes) = match self.write_segment_next(start, &before)? {
-            Some((id, bytes)) => {
-                self.write_manifest()?;
-                (Some(id), bytes)
-            }
-            None => (None, 0),
+        let (segment_id, segment_bytes) = match self.persist_from(start, &before) {
+            Ok(Some((id, bytes))) => (Some(id), bytes),
+            Ok(None) => (None, 0),
+            Err(e) => return Err(self.roll_back(e)),
         };
         Ok(AppendReport {
             observed: plans.len(),
@@ -471,20 +642,21 @@ impl SegmentStore {
     /// append-only growth: many small segments cost per-segment overhead
     /// on open and query, and the chain keeps symbols no live segment
     /// references.
+    ///
+    /// Failure-atomic: the merged segment and manifest are staged in
+    /// memory and published only after the manifest rename succeeds; on
+    /// any error the store is unchanged on disk and in memory.
     pub fn compact(&mut self) -> Result<CompactReport> {
         let segments_before = self.manifest.segments.len();
         let bytes_before = self.census.iter().map(|c| c.bytes.total).sum();
         let old: Vec<u32> = self.manifest.segments.iter().map(|m| m.id).collect();
         // The new segment takes a fresh id so a crash mid-compact leaves
         // the old manifest pointing at intact old files.
-        let next_id = self.manifest.segments.last().map_or(0, |m| m.id + 1);
-        self.manifest.symbols.clear();
-        self.manifest.segments.clear();
-        self.census.clear();
-        self.corpus.segment_hints.clear();
-        let zeros = vec![0usize; self.corpus.shard_count()];
-        self.write_segment(next_id, 0, &zeros)?;
-        self.write_manifest()?;
+        let (manifest, segment) = stage_store(&self.corpus, self.next_segment_id())?;
+        commit(&self.dir, &manifest, segment.as_ref())?;
+        self.manifest = manifest;
+        (self.census, self.corpus.segment_hints) =
+            segment.map(|s| (s.census, s.hint)).into_iter().unzip();
         for id in old {
             let _ = std::fs::remove_file(self.dir.join(segment_file(id)));
         }
@@ -633,123 +805,46 @@ impl SegmentStore {
         Ok((corpus, report))
     }
 
-    /// Writes globals `start..len` as the next segment in sequence.
-    fn write_segment_next(
-        &mut self,
-        start: usize,
-        counts_before: &[usize],
-    ) -> Result<Option<(u32, usize)>> {
-        let id = self.manifest.segments.last().map_or(0, |m| m.id + 1);
-        self.write_segment(id, start, counts_before)
+    /// The id the next written segment takes.
+    fn next_segment_id(&self) -> u32 {
+        self.manifest.segments.last().map_or(0, |m| m.id + 1)
     }
 
-    /// Writes globals `start..corpus.len()` as segment `id` and records
-    /// it in the in-memory manifest (the caller persists the manifest).
-    /// No-op returning `None` when the range is empty.
-    fn write_segment(
+    /// Persists globals `start..corpus.len()` as the next segment: writes
+    /// the segment file, then commits it by rewriting the manifest, and
+    /// only then publishes the new manifest, census row and hint in
+    /// memory. `None` (nothing written) when the range is empty.
+    fn persist_from(
         &mut self,
-        id: u32,
         start: usize,
         counts_before: &[usize],
     ) -> Result<Option<(u32, usize)>> {
-        let end = self.corpus.len();
-        if start == end {
+        let id = self.next_segment_id();
+        let mut manifest = self.manifest.clone();
+        let Some(staged) = stage_segment(&self.corpus, &mut manifest, id, start, counts_before)?
+        else {
             return Ok(None);
-        }
-        let corpus = &self.corpus;
-        let mut builder = SegmentBuilder::new(&self.manifest.symbols);
-        let mut fingerprints = Vec::with_capacity(end - start);
-        let mut features = Vec::with_capacity((end - start) * FEATURE_DIM);
-        let mut feature_min = [u32::MAX; FEATURE_DIM];
-        let mut feature_max = [0u32; FEATURE_DIM];
-        let mut min_fp = u64::MAX;
-        let mut max_fp = 0u64;
-        let mut operations = 0u64;
-        let mut max_depth = 0u32;
-        for global in start..end {
-            let plan = corpus.plan(global);
-            builder.push(plan)?;
-            let fp = corpus.fingerprint(global).0;
-            min_fp = min_fp.min(fp);
-            max_fp = max_fp.max(fp);
-            fingerprints.push(fp);
-            let (s, local) = corpus.directory[global];
-            let row = &corpus.shards[s as usize].features[local as usize];
-            for d in 0..FEATURE_DIM {
-                feature_min[d] = feature_min[d].min(row[d]);
-                feature_max[d] = feature_max[d].max(row[d]);
-            }
-            features.extend_from_slice(row);
-            operations += plan.operation_count() as u64;
-            max_depth = max_depth.max(plan.root.as_ref().map_or(0, |r| r.depth()) as u32);
-        }
-        let shards: Vec<SegmentShardEdges> = corpus
-            .shards
-            .iter()
-            .zip(counts_before)
-            .map(|(shard, &base)| {
-                let all = shard.index.edges();
-                let new = if base == 0 {
-                    &all[..]
-                } else {
-                    &all[base - 1..]
-                };
-                SegmentShardEdges {
-                    base: base as u64,
-                    count: (shard.len() - base) as u64,
-                    edges: new.to_vec(),
-                }
-            })
-            .collect();
-        let finish = SegmentFinish {
-            id,
-            fingerprint_flags: self.manifest.fingerprint_flags,
-            shard_count: corpus.shard_count() as u32,
-            fingerprints,
-            feature_dim: FEATURE_DIM as u32,
-            features,
-            operations,
-            max_depth,
-            shards,
         };
-        let (bytes, delta) = builder.finish(&finish);
-        write_atomic(&self.dir.join(segment_file(id)), &bytes)?;
-        let symbols_base = self.manifest.symbols.len() as u32;
-        self.manifest.symbols.extend_from_slice(&delta);
-        self.manifest.segments.push(SegmentMeta {
-            id,
-            plan_count: (end - start) as u64,
-            symbols_base,
-            symbols_len: delta.len() as u32,
-            operations,
-            max_depth,
-            min_fingerprint: min_fp,
-            max_fingerprint: max_fp,
-            feature_min: feature_min.to_vec(),
-            feature_max: feature_max.to_vec(),
-        });
-        // Section census from a re-parse of what was just written — also a
-        // cheap self-check that the file round-trips.
-        let view = parse_segment(&bytes)?;
-        self.census.push(SegmentCensus {
-            id,
-            plans: (end - start) as u64,
-            bytes: view.sections,
-        });
-        self.corpus.segment_hints.push(SegmentHint {
-            start,
-            count: end - start,
-            feature_min,
-            feature_max,
-        });
-        Ok(Some((id, bytes.len())))
+        commit(&self.dir, &manifest, Some(&staged))?;
+        self.manifest = manifest;
+        self.census.push(staged.census);
+        self.corpus.segment_hints.push(staged.hint);
+        Ok(Some((id, staged.bytes.len())))
     }
 
-    fn write_manifest(&self) -> Result<()> {
-        write_atomic(
-            &self.dir.join(MANIFEST_FILE),
-            &encode_manifest(&self.manifest),
-        )
+    /// Restores the last committed state after a failed mutation by
+    /// reopening the store from its manifest, and returns the error to
+    /// report.
+    fn roll_back(&mut self, error: Error) -> Error {
+        match SegmentStore::open_with_options(&self.dir, self.corpus.options()) {
+            Ok(reopened) => {
+                *self = reopened;
+                error
+            }
+            Err(reopen) => Error::Semantic(format!(
+                "{error}; reopening the store to roll back also failed: {reopen}"
+            )),
+        }
     }
 }
 
@@ -993,6 +1088,80 @@ mod tests {
         let reopened = SegmentStore::open(&dir).unwrap().into_corpus();
         assert_eq!(reopened.len(), eager.len());
         assert_same_answers(&reopened, &eager);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_append_rolls_back_and_a_retry_admits_the_batch() {
+        let dir = tmp_dir("failed-append");
+        let mut store = SegmentStore::create(&dir, ShardedCorpus::new()).unwrap();
+        store.append(&stream(0, 40), 2).unwrap();
+        // A directory squatting on the next segment path makes the write
+        // fail, even for root.
+        let blocker = dir.join(segment_file(1));
+        std::fs::create_dir(&blocker).unwrap();
+        assert!(store.append(&stream(40, 40), 2).is_err());
+        // Memory is back at the committed state: nothing half-admitted.
+        assert_eq!(store.corpus().len(), 40);
+        assert_eq!(store.census().len(), 1);
+        assert_eq!(store.manifest().segments.len(), 1);
+        std::fs::remove_dir(&blocker).unwrap();
+        let retry = store.append(&stream(40, 40), 2).unwrap();
+        assert_eq!(retry.admitted, 40, "the retry must admit the whole batch");
+        assert_eq!(retry.segment_id, Some(1));
+        drop(store);
+
+        let mut eager = ShardedCorpus::new();
+        eager.ingest_parallel(&stream(0, 80), 2);
+        let reopened = SegmentStore::open(&dir).unwrap().into_corpus();
+        assert_eq!(reopened.len(), 80, "no plan lost on reopen");
+        assert_same_answers(&reopened, &eager);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_compact_leaves_the_store_unchanged() {
+        let dir = tmp_dir("failed-compact");
+        let mut store = SegmentStore::create(&dir, ShardedCorpus::new()).unwrap();
+        for start in [0, 50, 100] {
+            store.append(&stream(start, 50), 2).unwrap();
+        }
+        let files = dir_files(&dir);
+        let blocker = dir.join(segment_file(3));
+        std::fs::create_dir(&blocker).unwrap();
+        assert!(store.compact().is_err());
+        assert_eq!(store.census().len(), 3);
+        assert_eq!(store.manifest().segments.len(), 3);
+        std::fs::remove_dir(&blocker).unwrap();
+        assert_eq!(dir_files(&dir), files, "disk untouched");
+
+        // The store keeps working: a later append commits against the
+        // intact before-state, and the directory reopens whole.
+        store.append(&stream(150, 30), 2).unwrap();
+        drop(store);
+        let mut eager = ShardedCorpus::new();
+        eager.ingest_parallel(&stream(0, 180), 2);
+        let reopened = SegmentStore::open(&dir).unwrap().into_corpus();
+        assert_eq!(reopened.len(), eager.len());
+        assert_same_answers(&reopened, &eager);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn create_writes_exactly_the_encoded_image() {
+        let dir = tmp_dir("image");
+        let mut corpus = ShardedCorpus::new();
+        corpus.ingest_parallel(&stream(0, 90), 2);
+        let image = encode_store(&corpus).unwrap();
+        SegmentStore::create(&dir, corpus).unwrap();
+        let files = dir_files(&dir);
+        assert_eq!(files.len(), 2);
+        assert_eq!(Some(&files[&segment_file(0)]), image.segment.as_ref());
+        assert_eq!(files[MANIFEST_FILE], image.manifest);
+        // An empty corpus is a manifest alone.
+        let empty = encode_store(&ShardedCorpus::new()).unwrap();
+        assert!(empty.segment.is_none());
+        assert_eq!(empty.total_bytes(), empty.manifest.len());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

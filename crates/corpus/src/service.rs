@@ -481,8 +481,8 @@ mod tests {
             sequential.observe(plan);
         }
         assert_eq!(
-            service.snapshot().corpus().to_binary_indexed().unwrap(),
-            sequential.to_binary_indexed().unwrap()
+            crate::encode_store(service.snapshot().corpus()).unwrap(),
+            crate::encode_store(&sequential).unwrap()
         );
 
         // An empty merge publishes nothing.
@@ -523,8 +523,8 @@ mod tests {
         let published = service.snapshot();
         assert_eq!(reopened.len(), published.corpus().len());
         assert_eq!(
-            reopened.to_binary_indexed().unwrap(),
-            published.corpus().to_binary_indexed().unwrap()
+            crate::encode_store(&reopened).unwrap(),
+            crate::encode_store(published.corpus()).unwrap()
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -2,28 +2,25 @@
 //!
 //! Robustness claims are cheap; this module makes them testable. It
 //! produces *seeded, reproducible* corruptions of the three artifact
-//! kinds the toolchain ingests from the outside world — binary UPLN
-//! corpus documents, append-only segment-store directories, and raw
-//! mixed-source dumps — so a tier-1 test (and the CI smoke job, at a
-//! pinned seed) can drive every mutation through the loaders and assert
-//! the hardening contract: **no panic; either a bounded, descriptive
-//! error or a salvage whose surviving plans fingerprint-match the
-//! originals.**
+//! kinds the toolchain reads from the outside world — append-only
+//! segment-store directories, legacy UPLN corpus documents offered for
+//! import, and raw mixed-source dumps — so a tier-1 test (and the CI
+//! smoke job, at a pinned seed) can drive every mutation through the
+//! loaders and assert the hardening contract: **no panic; either a
+//! bounded, descriptive error or a salvage whose surviving plans
+//! fingerprint-match the originals.**
 //!
-//! Binary mutations are planned over the document's
-//! [`SectionBoundary`] map (header, each checksummed plan block, document
-//! end), which is exactly the granularity at which the v3 codec can
-//! recover: [`expected_recoverable`] computes, for the mutation classes
-//! where the outcome is provably prefix-bounded, the *exact* number of
-//! plans a salvage must recover — turning the fuzz-style sweep into a
-//! precise oracle.
+//! Store faults are planned per file: the segment is the store's recovery
+//! unit, so [`expected_store_recovery`] computes the *exact* plan count a
+//! salvage must recover — turning the fuzz-style sweep into a precise
+//! oracle. Byte-level planners ([`bitflip_sweep`], [`splice_plan`]) serve
+//! single documents, where the contract is strict rejection.
 
 use std::io;
 use std::path::Path;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use uplan_core::formats::binary::SectionBoundary;
 use uplan_corpus::MANIFEST_FILE;
 
 /// One reproducible corruption of a byte document.
@@ -108,20 +105,6 @@ impl FaultMutation {
     }
 }
 
-/// Byte offset of the version varint in a UPLN document (right after the
-/// 4-byte magic). A fault here can silently re-route the decoder to a
-/// different codec version, so no exact recovery count can be promised.
-const VERSION_OFFSET: usize = 4;
-
-/// Truncations at every section boundary of the document — the exact
-/// offsets where the v3 codec promises clean prefix recovery.
-pub fn truncation_plan(sections: &[SectionBoundary]) -> Vec<FaultMutation> {
-    sections
-        .iter()
-        .map(|s| FaultMutation::Truncate { len: s.end })
-        .collect()
-}
-
 /// `count` seeded single-bit flips spread over the document.
 pub fn bitflip_sweep(doc_len: usize, seed: u64, count: usize) -> Vec<FaultMutation> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -145,85 +128,6 @@ pub fn splice_plan(doc_len: usize, seed: u64, count: usize) -> Vec<FaultMutation
             }
         })
         .collect()
-}
-
-/// A seeded single-bit flip constrained past the header section, where
-/// [`expected_recoverable`] is always exact (no version-byte blind spot).
-/// `None` when the document has no bytes past its header.
-pub fn bitflip_past_header(sections: &[SectionBoundary], seed: u64) -> Option<FaultMutation> {
-    let lo = sections.first()?.end;
-    let hi = sections.last()?.end;
-    if lo >= hi {
-        return None;
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    Some(FaultMutation::BitFlip {
-        offset: rng.gen_range(lo..hi),
-        bit: rng.gen_range(0..8u64) as u8,
-    })
-}
-
-/// A seeded foreign-byte splice constrained past the header section (same
-/// exactness guarantee as [`bitflip_past_header`]).
-pub fn splice_past_header(sections: &[SectionBoundary], seed: u64) -> Option<FaultMutation> {
-    let lo = sections.first()?.end;
-    let hi = sections.last()?.end;
-    if lo >= hi {
-        return None;
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let len = rng.gen_range(1..17usize);
-    Some(FaultMutation::Splice {
-        at: rng.gen_range(lo..hi),
-        bytes: (0..len).map(|_| rng.gen_range(0..256u64) as u8).collect(),
-    })
-}
-
-/// One duplication per document section (each block replayed after
-/// itself).
-pub fn duplicate_block_plan(sections: &[SectionBoundary]) -> Vec<FaultMutation> {
-    sections
-        .windows(2)
-        .map(|pair| FaultMutation::DuplicateBlock {
-            start: pair[0].end,
-            end: pair[1].end,
-        })
-        .collect()
-}
-
-/// The exact number of plans a salvage of the mutated document must
-/// recover, when that number is provable from the section map:
-///
-/// * **Truncate** — always exact: the cumulative plan count of the last
-///   section boundary at or before the cut (a cut mid-section loses that
-///   whole section to its checksum/bounds check).
-/// * **BitFlip / Splice** — exact everywhere except the version varint
-///   (a fault there re-routes the decoder to another codec version with
-///   no checksum to catch it): damage before the first boundary voids the
-///   header (0 plans), damage inside block *k* is caught by block *k*'s
-///   CRC (blocks before *k* survive), damage past the last block only
-///   voids the index tail (all plans survive).
-/// * **DuplicateBlock** — `None`: a duplicated block re-verifies (it is a
-///   byte-exact valid block), so the decoded stream diverges from the
-///   original sequence; the harness asserts only the no-panic/bounded
-///   -error half of the contract.
-pub fn expected_recoverable(sections: &[SectionBoundary], mutation: &FaultMutation) -> Option<u64> {
-    let prefix_plans = |offset: usize| {
-        sections
-            .iter()
-            .take_while(|s| s.end <= offset)
-            .map(|s| s.plans)
-            .max()
-            .unwrap_or(0)
-    };
-    match mutation {
-        FaultMutation::Truncate { len } => Some(prefix_plans(*len)),
-        FaultMutation::BitFlip { offset, .. } => {
-            (*offset != VERSION_OFFSET).then(|| prefix_plans(*offset))
-        }
-        FaultMutation::Splice { at, .. } => (*at != VERSION_OFFSET).then(|| prefix_plans(*at)),
-        FaultMutation::DuplicateBlock { .. } => None,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -366,6 +270,27 @@ pub fn store_truncate_plan(dir: &Path, seed: u64) -> io::Result<Vec<StoreFault>>
         .collect())
 }
 
+/// One seeded splice of 1–16 foreign bytes per store file, anywhere from
+/// the first byte to the end. Store files are length-exact (a parse must
+/// end on the final CRC), so every splice damages its file.
+pub fn store_splice_plan(dir: &Path, seed: u64) -> io::Result<Vec<StoreFault>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    Ok(store_files(dir)?
+        .into_iter()
+        .map(|(file, len)| {
+            let at = rng.gen_range(0..len as usize + 1);
+            let count = rng.gen_range(1..17usize);
+            StoreFault::Mutate {
+                file,
+                mutation: FaultMutation::Splice {
+                    at,
+                    bytes: (0..count).map(|_| rng.gen_range(0..256u64) as u8).collect(),
+                },
+            }
+        })
+        .collect())
+}
+
 /// One deletion per store file.
 pub fn store_delete_plan(dir: &Path) -> io::Result<Vec<StoreFault>> {
     Ok(store_files(dir)?
@@ -385,7 +310,8 @@ pub fn store_delete_plan(dir: &Path) -> io::Result<Vec<StoreFault>> {
 ///
 /// Exact because the planners above only produce faults that genuinely
 /// damage their file (a bit flip always changes a CRC-covered byte; a
-/// strict-prefix truncation always severs the trailing self-description).
+/// strict-prefix truncation always severs the trailing self-description;
+/// a splice always breaks the file's exact length).
 /// The oracle covers **single** faults with the census's segments; for
 /// composed faults (e.g. manifest loss *plus* a damaged symbol-carrying
 /// segment) recovery cascades and must be asserted by hand.
@@ -485,24 +411,6 @@ pub fn inject_garbage_lines(dump: &str, seed: u64, count: usize) -> (String, Vec
 mod tests {
     use super::*;
 
-    fn sections() -> Vec<SectionBoundary> {
-        vec![
-            SectionBoundary { end: 20, plans: 0 },
-            SectionBoundary {
-                end: 120,
-                plans: 256,
-            },
-            SectionBoundary {
-                end: 200,
-                plans: 300,
-            },
-            SectionBoundary {
-                end: 240,
-                plans: 300,
-            },
-        ]
-    }
-
     #[test]
     fn mutations_apply_reproducibly() {
         let doc: Vec<u8> = (0..=255).collect();
@@ -535,48 +443,8 @@ mod tests {
     }
 
     #[test]
-    fn expected_recovery_is_prefix_bounded() {
-        let sections = sections();
-        let expect = |m: &FaultMutation| expected_recoverable(&sections, m);
-        // Truncations: exact at and between boundaries.
-        assert_eq!(expect(&FaultMutation::Truncate { len: 240 }), Some(300));
-        assert_eq!(expect(&FaultMutation::Truncate { len: 200 }), Some(300));
-        assert_eq!(expect(&FaultMutation::Truncate { len: 199 }), Some(256));
-        assert_eq!(expect(&FaultMutation::Truncate { len: 120 }), Some(256));
-        assert_eq!(expect(&FaultMutation::Truncate { len: 60 }), Some(0));
-        assert_eq!(expect(&FaultMutation::Truncate { len: 0 }), Some(0));
-        // Flips: header → 0, block k → blocks before k, tail → all.
-        let flip = |offset| FaultMutation::BitFlip { offset, bit: 3 };
-        assert_eq!(expect(&flip(10)), Some(0));
-        assert_eq!(expect(&flip(150)), Some(256));
-        assert_eq!(expect(&flip(220)), Some(300));
-        // The version byte is the one blind spot.
-        assert_eq!(expect(&flip(VERSION_OFFSET)), None);
-        // Duplications are never exactly predictable.
-        assert_eq!(
-            expect(&FaultMutation::DuplicateBlock {
-                start: 20,
-                end: 120
-            }),
-            None
-        );
-    }
-
-    #[test]
     fn plans_cover_every_section() {
-        let sections = sections();
-        let cuts = truncation_plan(&sections);
-        assert_eq!(cuts.len(), 4);
-        assert_eq!(cuts[0], FaultMutation::Truncate { len: 20 });
-        let dups = duplicate_block_plan(&sections);
-        assert_eq!(dups.len(), 3);
-        assert_eq!(
-            dups[0],
-            FaultMutation::DuplicateBlock {
-                start: 20,
-                end: 120
-            }
-        );
+        // Byte planners cover a whole document, reproducibly.
         let flips = bitflip_sweep(240, 0xF00D, 48);
         assert_eq!(
             flips,
@@ -588,16 +456,6 @@ mod tests {
             FaultMutation::BitFlip { offset, bit } => *offset < 240 && *bit < 8,
             _ => false,
         }));
-        // The past-header variants always have an exact expectation.
-        for seed in 0..32u64 {
-            let flip = bitflip_past_header(&sections, seed).unwrap();
-            assert!(expected_recoverable(&sections, &flip).is_some(), "{flip:?}");
-            let splice = splice_past_header(&sections, seed).unwrap();
-            assert!(
-                expected_recoverable(&sections, &splice).is_some(),
-                "{splice:?}"
-            );
-        }
         let splices = splice_plan(240, 0xF00D, 8);
         assert_eq!(splices.len(), 8);
         assert!(splices.iter().all(|m| match m {
@@ -606,6 +464,31 @@ mod tests {
             }
             _ => false,
         }));
+        // The splice planner puts one fault in every store file — the
+        // store's sections — in listing order (the other store planners
+        // are checked in `store_fault_plans_are_seeded_and_per_file`).
+        let dir = std::env::temp_dir().join(format!(
+            "uplan-inject-store-sections-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(MANIFEST_FILE), vec![0xAAu8; 40]).unwrap();
+        std::fs::write(dir.join("seg-00000.upls"), vec![0xCCu8; 70]).unwrap();
+        let files = store_files(&dir).unwrap();
+        let splices = store_splice_plan(&dir, 3).unwrap();
+        assert_eq!(splices, store_splice_plan(&dir, 3).unwrap());
+        for (fault, (file, len)) in splices.iter().zip(&files) {
+            assert_eq!(fault.file(), file);
+            match fault {
+                StoreFault::Mutate {
+                    mutation: FaultMutation::Splice { at, bytes },
+                    ..
+                } => assert!(*at as u64 <= *len && !bytes.is_empty() && bytes.len() <= 16),
+                other => panic!("unexpected fault {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   into the unified representation;
 //! * [`corpus`] *(uplan-corpus)* — persistent, fingerprint-deduplicated,
 //!   TED-metric-indexed plan populations (BK-tree radius/k-NN queries,
-//!   binary/JSONL persistence, clustering, cross-corpus diff);
+//!   append-only segment-store persistence, clustering, cross-corpus diff);
 //! * [`obs`] *(uplan-obs)* — zero-dependency observability: lock-cheap
 //!   metrics registry with Prometheus/JSON exposition, structured span
 //!   tracing with a JSONL sink;

@@ -1,17 +1,18 @@
 //! The dirty-fleet hardening contract, driven end to end by the seeded
 //! fault-injection harness (`uplan_testing::inject`).
 //!
-//! Three artifact kinds arrive from the outside world — binary UPLN
-//! corpus documents, append-only segment-store directories, and raw
-//! mixed-source dumps — and for all of them the contract is:
+//! Three artifact kinds arrive from the outside world — append-only
+//! segment-store directories, legacy monolithic UPLN corpus documents
+//! offered for import, and raw mixed-source dumps — and for all of them
+//! the contract is:
 //!
 //! * **no panic**, ever, on corrupted input;
-//! * strict loads either succeed losslessly or fail with a bounded,
-//!   descriptive error — never silently drop plans;
-//! * salvage recovers plans that **fingerprint-match** the originals, and
-//!   where the mutation class is prefix-bounded
-//!   ([`inject::expected_recoverable`]) recovers **exactly** the promised
-//!   count;
+//! * strict loads (store open, legacy import) either succeed losslessly
+//!   or fail with a bounded, descriptive error — never silently drop
+//!   plans;
+//! * store salvage recovers plans that **fingerprint-match** the
+//!   originals, **exactly** the surviving segments' plan counts
+//!   ([`inject::expected_store_recovery`]);
 //! * lenient raw ingest of a dump with ≥10% garbage is **byte-identical**
 //!   to a strict ingest of its valid subset, with an exact error census.
 //!
@@ -25,7 +26,7 @@ use std::sync::OnceLock;
 use minidb::profile::EngineProfile;
 use uplan::convert::{self, RawIngestOptions};
 use uplan::core::fingerprint::{fingerprint, FingerprintOptions};
-use uplan::core::formats::binary::{self, SectionBoundary};
+use uplan::core::formats::binary::BinaryEncoder;
 use uplan::core::UnifiedPlan;
 use uplan::corpus::{PlanCorpus, SegmentStore, MANIFEST_FILE};
 use uplan::testing::inject::{self, FaultMutation, StoreFault};
@@ -35,116 +36,95 @@ use uplan_bench::corpus_fixture;
 /// Seed of the fixture corpus (and default seed of the mutation sweeps).
 const SEED: u64 = 0xD15E_A5ED;
 
-/// A checked (v3), index-carrying document of ~1000 distinct derived
-/// TPC-H plans, plus the fingerprint of every plan in document order.
-fn fixture() -> &'static (Vec<u8>, Vec<u64>) {
-    static DOC: OnceLock<(Vec<u8>, Vec<u64>)> = OnceLock::new();
+// ---------------------------------------------------------------------------
+// Legacy-import half of the contract: a monolithic document is outside
+// input to `repro corpus import`, which decodes it strictly.
+// ---------------------------------------------------------------------------
+
+/// A checksummed (v3) document of ~1000 distinct derived TPC-H plans — the
+/// layout earlier releases persisted corpora in — and its plan count.
+fn legacy_document() -> &'static (Vec<u8>, usize) {
+    static DOC: OnceLock<(Vec<u8>, usize)> = OnceLock::new();
     DOC.get_or_init(|| {
         let corpus = corpus_fixture::derived_corpus(1000, SEED);
-        let bytes = corpus.to_binary_indexed().unwrap();
-        let intact = binary::salvage(&bytes);
-        assert!(intact.error.is_none(), "fixture document must be intact");
-        assert!(intact.verified, "v3 documents salvage checksum-verified");
-        let prints: Vec<u64> = intact.plans.iter().map(|p| fingerprint(p).0).collect();
-        assert!(prints.len() >= 1000);
-        (bytes, prints)
+        let mut encoder = BinaryEncoder::new();
+        for (_, plan) in corpus.iter() {
+            encoder.push(plan).unwrap();
+        }
+        let bytes = encoder.finish();
+        let intact = PlanCorpus::from_binary(&bytes).expect("fixture document must be intact");
+        assert_eq!(intact.len(), corpus.len());
+        (bytes, corpus.len())
     })
 }
 
-/// Drives one mutation through both loaders and asserts the full
-/// hardening contract on the outcome.
-fn assert_contract(
-    bytes: &[u8],
-    prints: &[u64],
-    sections: &[SectionBoundary],
-    mutation: &FaultMutation,
-) {
+/// Drives one mutation through the strict import decoder: it never
+/// panics and never *silently* loses plans — it either refuses the
+/// document with a descriptive error or yields the full population.
+fn assert_import_contract(mutation: &FaultMutation) -> bool {
+    let (bytes, plans) = legacy_document();
     let what = mutation.describe();
-    let corrupt = mutation.apply(bytes);
-
-    // Salvage never panics; where the mutation class is prefix-bounded it
-    // recovers *exactly* the promised count, and every survivor
-    // fingerprint-matches the original plan at its position.
-    let outcome = binary::salvage(&corrupt);
-    if let Some(expected) = inject::expected_recoverable(sections, mutation) {
-        assert_eq!(outcome.plans.len() as u64, expected, "{what}");
-        for (i, plan) in outcome.plans.iter().enumerate() {
-            assert_eq!(fingerprint(plan).0, prints[i], "{what}: salvaged plan {i}");
+    match PlanCorpus::from_binary(&mutation.apply(bytes)) {
+        Ok(loaded) => {
+            assert_eq!(loaded.len(), *plans, "{what}: silent loss");
+            false
         }
-        if expected < prints.len() as u64 {
-            assert!(
-                outcome.error.is_some(),
-                "{what}: lossy salvage must say why"
-            );
+        Err(e) => {
+            assert!(!e.to_string().is_empty(), "{what}: empty error");
+            true
         }
-    }
-
-    // The strict loader never panics and never *silently* loses plans: it
-    // either refuses the document or yields the full population.
-    match PlanCorpus::from_binary(&corrupt) {
-        Ok(loaded) => assert_eq!(loaded.len(), prints.len(), "{what}: silent loss"),
-        Err(e) => assert!(!e.to_string().is_empty(), "{what}: empty error"),
     }
 }
 
 #[test]
-fn truncations_recover_exactly_the_promised_prefix() {
-    let (bytes, prints) = fixture();
-    let sections = binary::section_map(bytes).unwrap();
-    // header + ≥4 checksum blocks of 256 + document end for 1000+ plans.
-    assert!(sections.len() >= 6, "unexpected section map: {sections:?}");
-
-    // Cuts at every section boundary: clean prefix recovery.
-    for mutation in inject::truncation_plan(&sections) {
-        assert_contract(bytes, prints, &sections, &mutation);
-    }
-    // Cuts *inside* a section lose exactly that section — still an exact
-    // expectation.
-    for pair in sections.windows(2) {
-        let mid = (pair[0].end + pair[1].end) / 2;
-        let mutation = FaultMutation::Truncate { len: mid };
+fn truncated_legacy_documents_are_rejected_by_import() {
+    // A legacy document's self-description trails its plans (tail flag
+    // and CRC), so every strict prefix — mid-block, on a block boundary,
+    // or one byte short — must be refused, not imported short.
+    let (bytes, _) = legacy_document();
+    let step = (bytes.len() / 97).max(1);
+    let cuts = (0..bytes.len()).step_by(step).chain([bytes.len() - 1]);
+    for len in cuts {
         assert!(
-            inject::expected_recoverable(&sections, &mutation).is_some(),
-            "truncations are always exactly predictable"
+            assert_import_contract(&FaultMutation::Truncate { len }),
+            "truncation to {len} bytes imported"
         );
-        assert_contract(bytes, prints, &sections, &mutation);
     }
 }
 
 #[test]
 fn seeded_bitflips_are_caught_or_harmless_never_silent() {
-    let (bytes, prints) = fixture();
-    let sections = binary::section_map(bytes).unwrap();
-    // A document-wide sweep (the version varint may be hit — there the
-    // oracle abstains and the contract reduces to no-panic/no-silent-loss).
-    for mutation in inject::bitflip_sweep(bytes.len(), SEED, 32) {
-        assert_contract(bytes, prints, &sections, &mutation);
+    // Every byte of a checksummed document is CRC-covered (or is a CRC):
+    // a document-wide sweep is caught or, where a flip re-routes the
+    // version varint, still never imports a short corpus.
+    let (bytes, _) = legacy_document();
+    let mut caught = 0;
+    let flips = inject::bitflip_sweep(bytes.len(), SEED, 32);
+    for mutation in &flips {
+        caught += usize::from(assert_import_contract(mutation));
     }
-    // Past the header the oracle is total: every seed has an exact count.
-    for seed in 0..8u64 {
-        let mutation = inject::bitflip_past_header(&sections, seed).unwrap();
-        assert!(inject::expected_recoverable(&sections, &mutation).is_some());
-        assert_contract(bytes, prints, &sections, &mutation);
-    }
+    assert!(
+        caught + 1 >= flips.len(),
+        "{caught} of {} caught",
+        flips.len()
+    );
 }
 
 #[test]
 fn splices_and_duplicated_blocks_never_panic_or_lose_plans_silently() {
-    let (bytes, prints) = fixture();
-    let sections = binary::section_map(bytes).unwrap();
+    let (bytes, _) = legacy_document();
     for mutation in inject::splice_plan(bytes.len(), SEED, 12) {
-        assert_contract(bytes, prints, &sections, &mutation);
+        assert_import_contract(&mutation);
     }
-    for seed in 0..8u64 {
-        let mutation = inject::splice_past_header(&sections, seed).unwrap();
-        assert!(inject::expected_recoverable(&sections, &mutation).is_some());
-        assert_contract(bytes, prints, &sections, &mutation);
+    // Replayed writes: a duplicated byte range (a retried append, a
+    // doubled write) re-verifies in place but shifts everything after it.
+    for (start, end) in [(0, 64), (40, 400), (bytes.len() / 3, bytes.len() / 2)] {
+        assert_import_contract(&FaultMutation::DuplicateBlock { start, end });
     }
-    // Replayed writes: a duplicated block re-verifies, so no exact count
-    // is promised — but the loaders must still never panic or lose plans
-    // without saying so.
-    for mutation in inject::duplicate_block_plan(&sections) {
-        assert_contract(bytes, prints, &sections, &mutation);
+    // In a store, every splice damages exactly its file.
+    let (src, _, _) = store_fixture();
+    for fault in inject::store_splice_plan(src, SEED).unwrap() {
+        assert_store_contract(&fault);
     }
 }
 
@@ -247,8 +227,8 @@ fn assert_store_contract(fault: &StoreFault) {
         }
     }
     assert_eq!(
-        corpus.to_binary_indexed().unwrap(),
-        reference.to_binary_indexed().unwrap(),
+        uplan::corpus::encode_store(&corpus).unwrap(),
+        uplan::corpus::encode_store(&reference).unwrap(),
         "{what}: salvage must reproduce the surviving batches byte-exactly"
     );
 
@@ -445,10 +425,10 @@ fn lenient_ingest_of_a_dirty_dump_equals_strict_ingest_of_the_valid_subset() {
     let reference_report = convert::ingest_raw(&valid_subset, &mut reference, 4).unwrap();
     assert_eq!(reference_report.lines, clean_lines);
     assert_eq!(reference_report.census(), report.census());
-    let bytes = reference.to_binary_indexed().unwrap();
-    assert_eq!(lenient.to_binary_indexed().unwrap(), bytes);
-    assert_eq!(lenient_seq.to_binary_indexed().unwrap(), bytes);
-    assert_eq!(lenient_one.to_binary_indexed().unwrap(), bytes);
+    let bytes = uplan::corpus::encode_store(&reference).unwrap();
+    assert_eq!(uplan::corpus::encode_store(&lenient).unwrap(), bytes);
+    assert_eq!(uplan::corpus::encode_store(&lenient_seq).unwrap(), bytes);
+    assert_eq!(uplan::corpus::encode_store(&lenient_one).unwrap(), bytes);
 
     // The quarantine file replays to the same failures: every record
     // fails again, none converts.
@@ -491,7 +471,7 @@ fn framed_encodings_of_the_dirty_dump_agree_with_jsonl() {
     assert_eq!(framed_report.errors.len(), jsonl_report.errors.len());
     assert_eq!(framed_report.census(), jsonl_report.census());
     assert_eq!(
-        framed.to_binary_indexed().unwrap(),
-        jsonl.to_binary_indexed().unwrap()
+        uplan::corpus::encode_store(&framed).unwrap(),
+        uplan::corpus::encode_store(&jsonl).unwrap()
     );
 }

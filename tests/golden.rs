@@ -140,8 +140,8 @@ fn tree_edit_distances_match_golden_values() {
 }
 
 /// Exact version-1 encoding of a small reference plan. Version 1 is no
-/// longer written (the encoder emits version 2) but corpora persisted by
-/// earlier releases exist, so the *decoder* stays pinned to these bytes
+/// longer written but corpora persisted by earlier releases exist, so the
+/// *decoder* (and `repro corpus import`) stays pinned to these bytes
 /// forever: any change that stops them decoding breaks stored corpora and
 /// must be deliberate.
 const GOLDEN_BINARY_V1: [u8; 105] = [
@@ -158,11 +158,8 @@ const GOLDEN_BINARY_V1: [u8; 105] = [
 
 /// Exact version-2 encoding of the same plan: identical plan bytes, the
 /// version varint at offset 4 is 2, and one trailing zero byte (the "no
-/// index section" flag). Version 2 is still *written* — it is what
-/// [`BinaryEncoder::unchecked`] emits — so these bytes pin both the
-/// decoder and the unchecked writer. Any byte-level change invalidates
-/// every stored corpus and must be deliberate (bump
-/// `BINARY_CODEC_VERSION`, regenerate, and say so in the PR).
+/// index section" flag). Version 2 is no longer written (it was the
+/// pre-checksum layout); the bytes pin the decoder.
 const GOLDEN_BINARY_V2: [u8; 106] = [
     0x55, 0x50, 0x4c, 0x4e, 0x02, 0x06, 0x09, 0x48, 0x61, 0x73, 0x68, 0x5f, //
     0x4a, 0x6f, 0x69, 0x6e, 0x0f, 0x46, 0x75, 0x6c, 0x6c, 0x5f, 0x54, 0x61, //
@@ -193,6 +190,72 @@ const GOLDEN_BINARY_V3: [u8; 119] = [
     0x03, 0x04, 0x0f, 0xe3, 0x7d, 0x46, 0x00, 0x8d, 0xef, 0x02, 0xd2, //
 ];
 
+/// Exact bytes of an *indexed* version-4 corpus document, as the last
+/// release that wrote monolithic corpora produced it for
+/// [`golden_indexed_population`]: v3 framing plus the BK-index section
+/// (four shards) and the 20-wide feature section. Pins the decoder's index
+/// and feature adoption — the path `repro corpus import` takes.
+const GOLDEN_INDEXED_V4: [u8; 461] = [
+    0x55, 0x50, 0x4c, 0x4e, 0x04, 0x0a, 0x09, 0x48, 0x61, 0x73, 0x68, 0x5f, //
+    0x4a, 0x6f, 0x69, 0x6e, 0x0f, 0x46, 0x75, 0x6c, 0x6c, 0x5f, 0x54, 0x61, //
+    0x62, 0x6c, 0x65, 0x5f, 0x53, 0x63, 0x61, 0x6e, 0x04, 0x72, 0x6f, 0x77, //
+    0x73, 0x0a, 0x49, 0x6e, 0x64, 0x65, 0x78, 0x5f, 0x53, 0x63, 0x61, 0x6e, //
+    0x06, 0x66, 0x69, 0x6c, 0x74, 0x65, 0x72, 0x0f, 0x77, 0x6f, 0x72, 0x6b, //
+    0x65, 0x72, 0x73, 0x5f, 0x70, 0x6c, 0x61, 0x6e, 0x6e, 0x65, 0x64, 0x08, //
+    0x53, 0x65, 0x71, 0x5f, 0x53, 0x63, 0x61, 0x6e, 0x04, 0x53, 0x6f, 0x72, //
+    0x74, 0x06, 0x47, 0x61, 0x74, 0x68, 0x65, 0x72, 0x0b, 0x42, 0x69, 0x74, //
+    0x6d, 0x61, 0x70, 0x5f, 0x53, 0x63, 0x61, 0x6e, 0x0a, 0x86, 0x3c, 0xc4, //
+    0x9d, 0x7b, 0x01, 0x02, 0x00, 0x00, 0x02, 0x00, 0x01, 0x01, 0x00, 0x02, //
+    0x03, 0xd0, 0x0f, 0x00, 0x00, 0x03, 0x01, 0x02, 0x04, 0x05, 0x06, 0x63, //
+    0x30, 0x20, 0x3c, 0x20, 0x35, 0x00, 0x01, 0x03, 0x05, 0x03, 0x04, 0x01, //
+    0x00, 0x06, 0x00, 0x00, 0x00, 0x01, 0x05, 0x07, 0x00, 0x01, 0x00, 0x06, //
+    0x00, 0x00, 0x00, 0x01, 0x05, 0x08, 0x00, 0x01, 0x05, 0x07, 0x00, 0x01, //
+    0x00, 0x06, 0x00, 0x00, 0x00, 0x01, 0x00, 0x03, 0x00, 0x00, 0x00, 0x01, //
+    0x05, 0x07, 0x00, 0x01, 0x00, 0x03, 0x00, 0x00, 0x00, 0x01, 0x05, 0x08, //
+    0x00, 0x01, 0x05, 0x07, 0x00, 0x01, 0x00, 0x03, 0x00, 0x00, 0x00, 0x01, //
+    0x00, 0x09, 0x00, 0x00, 0x00, 0x01, 0x05, 0x07, 0x00, 0x01, 0x00, 0x09, //
+    0x00, 0x00, 0x00, 0x01, 0x05, 0x08, 0x00, 0x01, 0x05, 0x07, 0x00, 0x01, //
+    0x00, 0x09, 0x00, 0x00, 0x00, 0xe5, 0xe0, 0x68, 0x20, 0x03, 0x13, 0x04, //
+    0x02, 0x00, 0x02, 0x04, 0x00, 0x03, 0x00, 0x04, 0x01, 0x01, 0x02, 0x00, //
+    0x02, 0x02, 0x00, 0x02, 0x14, 0x02, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, //
+    0x00, 0x03, 0x02, 0x02, 0x00, 0x01, 0x00, 0x01, 0x00, 0x01, 0x01, 0x00, //
+    0x02, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x01, //
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, //
+    0x00, 0x00, 0x01, 0x00, 0x00, 0x02, 0x02, 0x01, 0x01, 0x00, 0x00, 0x00, //
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, //
+    0x00, 0x03, 0x03, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+    0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x01, //
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, //
+    0x00, 0x00, 0x01, 0x00, 0x00, 0x02, 0x02, 0x01, 0x01, 0x00, 0x00, 0x00, //
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, //
+    0x00, 0x03, 0x03, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+    0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x01, //
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, //
+    0x00, 0x00, 0x01, 0x00, 0x00, 0x02, 0x02, 0x01, 0x01, 0x00, 0x00, 0x00, //
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, //
+    0x00, 0x03, 0x03, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+    0x01, 0x6e, 0x3e, 0x25, 0x0d, //
+];
+
+/// The plans of [`GOLDEN_INDEXED_V4`], in document order: the golden
+/// binary plan plus three scans, each bare, sorted, and sorted under a
+/// gather — ten fingerprints spread over all four shards.
+fn golden_indexed_population() -> Vec<UnifiedPlan> {
+    use uplan::core::PlanNode;
+    let mut plans = vec![golden_binary_plan()];
+    for scan in ["Seq_Scan", "Index_Scan", "Bitmap_Scan"] {
+        plans.push(UnifiedPlan::with_root(PlanNode::producer(scan)));
+        plans.push(UnifiedPlan::with_root(
+            PlanNode::executor("Sort").with_child(PlanNode::producer(scan)),
+        ));
+        plans.push(UnifiedPlan::with_root(
+            PlanNode::executor("Gather")
+                .with_child(PlanNode::executor("Sort").with_child(PlanNode::producer(scan))),
+        ));
+    }
+    plans
+}
+
 fn golden_binary_plan() -> UnifiedPlan {
     use uplan::core::{PlanNode, Property};
     UnifiedPlan::with_root(
@@ -213,7 +276,6 @@ fn golden_binary_plan() -> UnifiedPlan {
 fn binary_codec_encoding_matches_golden_bytes() {
     use uplan::core::formats::binary;
     assert_eq!(binary::BINARY_CODEC_VERSION, 3);
-    assert_eq!(binary::UNCHECKED_BINARY_VERSION, 2);
     assert_eq!(binary::MIN_SUPPORTED_BINARY_VERSION, 1);
     let bytes = binary::to_bytes(&golden_binary_plan()).unwrap();
     assert_eq!(
@@ -229,21 +291,75 @@ fn binary_codec_encoding_matches_golden_bytes() {
 }
 
 #[test]
-fn unchecked_encoder_still_writes_golden_v2_bytes() {
-    // `BinaryEncoder::unchecked()` is the compatibility writer: corpora it
-    // persists must stay byte-identical to the pre-checksum v2 encoding,
-    // and the decoder must keep accepting both pinned documents.
+fn binary_codec_still_decodes_golden_v2_documents() {
+    // Corpora persisted in the pre-checksum v2 layout keep decoding to the
+    // reference plan.
     use uplan::core::formats::binary;
-    let mut enc = binary::BinaryEncoder::unchecked();
-    enc.push(&golden_binary_plan()).unwrap();
-    assert_eq!(
-        enc.finish(),
-        GOLDEN_BINARY_V2.to_vec(),
-        "unchecked (v2) encoding drifted — persisted corpora would break"
-    );
     let decoded = binary::from_bytes(&GOLDEN_BINARY_V2).unwrap();
     assert_eq!(decoded, golden_binary_plan());
     assert_eq!(fingerprint(&decoded), fingerprint(&golden_binary_plan()));
+}
+
+#[test]
+fn legacy_documents_import_into_stores_that_answer_like_from_binary() {
+    // Every pinned legacy document — v1, v2, v3 and an indexed v4 —
+    // imports through `repro corpus import` into a store whose reopened
+    // answers and `QueryCost` equal a direct decode of the same bytes.
+    use uplan::corpus::{PlanCorpus, QueryRequest, SegmentStore};
+    let mut probes = golden_indexed_population();
+    probes.push(UnifiedPlan::with_root(uplan::core::PlanNode::producer(
+        "Sample_Scan",
+    )));
+    let documents: [(&str, &[u8]); 4] = [
+        ("v1", &GOLDEN_BINARY_V1),
+        ("v2", &GOLDEN_BINARY_V2),
+        ("v3", &GOLDEN_BINARY_V3),
+        ("v4", &GOLDEN_INDEXED_V4),
+    ];
+    for (label, bytes) in documents {
+        let scratch = std::env::temp_dir().join(format!(
+            "uplan-golden-import-{label}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&scratch);
+        std::fs::create_dir_all(&scratch).unwrap();
+        let file = scratch.join("legacy.uplanc");
+        let store = scratch.join("store");
+        std::fs::write(&file, bytes).unwrap();
+        let args: Vec<String> = ["import", file.to_str().unwrap(), store.to_str().unwrap()]
+            .map(str::to_owned)
+            .to_vec();
+        assert_eq!(uplan_bench::corpus_cli::run(&args), 0, "{label}");
+
+        let decoded = PlanCorpus::from_binary(bytes).unwrap();
+        let imported = SegmentStore::open(&store).unwrap().into_corpus();
+        assert_eq!(imported.len(), decoded.len(), "{label}");
+        assert_eq!(imported.index_evals(), 0, "{label}: store opens index-free");
+        for (id, plan) in decoded.iter() {
+            assert_eq!(imported.plan(id), plan, "{label}");
+        }
+        for probe in &probes {
+            for request in [
+                QueryRequest::knn(3).with_probe(probe.clone()),
+                QueryRequest::knn(3).with_probe(probe.clone()).approx(0),
+                QueryRequest::radius(2).with_probe(probe.clone()),
+            ] {
+                assert_eq!(
+                    imported.execute(&request).unwrap(),
+                    decoded.execute(&request).unwrap(),
+                    "{label}: {request:?}"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&scratch);
+    }
+    // The indexed document's population and persisted index are adopted
+    // as written: zero TED evaluations to decode.
+    let v4 = PlanCorpus::from_binary(&GOLDEN_INDEXED_V4).unwrap();
+    assert!(v4.has_persisted_index());
+    assert_eq!(v4.index_evals(), 0);
+    let plans: Vec<UnifiedPlan> = v4.iter().map(|(_, plan)| plan.clone()).collect();
+    assert_eq!(plans, golden_indexed_population());
 }
 
 #[test]
@@ -274,7 +390,7 @@ fn binary_codec_still_decodes_golden_v1_documents() {
     let decoded = binary::from_bytes(&GOLDEN_BINARY_V1).unwrap();
     assert_eq!(decoded, golden_binary_plan());
     assert_eq!(fingerprint(&decoded), fingerprint(&golden_binary_plan()));
-    // And a v1 document loads as a corpus through the index-rebuild path.
+    // And a v1 document imports as a corpus through the index-rebuild path.
     let corpus = uplan::corpus::PlanCorpus::from_binary(&GOLDEN_BINARY_V1).unwrap();
     assert_eq!(corpus.len(), 1);
     assert!(!corpus.has_persisted_index());

@@ -95,6 +95,66 @@ fn arb_plan() -> impl Strategy<Value = UnifiedPlan> {
         .prop_map(|(root, properties)| UnifiedPlan { root, properties })
 }
 
+/// A fresh store directory per call: property cases run many times.
+fn case_dir(tag: &str) -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static CASE: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "uplan-property-{tag}-{}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Writes `corpus` as a store and reopens it (lazily).
+fn store_round_trip(corpus: &uplan::corpus::PlanCorpus, tag: &str) -> uplan::corpus::PlanCorpus {
+    let dir = case_dir(tag);
+    uplan::corpus::SegmentStore::create(&dir, corpus.clone()).unwrap();
+    let loaded = uplan::corpus::SegmentStore::open(&dir)
+        .unwrap()
+        .into_corpus();
+    let _ = std::fs::remove_dir_all(&dir);
+    loaded
+}
+
+/// Rewrites a checksummed v3 document as the pre-checksum v2 layout of the
+/// same plans: the version varint drops to 2, and the header CRC, every
+/// block's length and CRC, and the tail CRC are removed.
+fn strip_checksums(v3: &[u8]) -> Vec<u8> {
+    fn varint(bytes: &[u8], pos: &mut usize) -> u64 {
+        let mut value = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = bytes[*pos];
+            *pos += 1;
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                break;
+            }
+        }
+        value
+    }
+    assert_eq!(v3[4], 3, "version varint");
+    let mut pos = 5;
+    for _ in 0..varint(v3, &mut pos) {
+        let len = varint(v3, &mut pos) as usize;
+        pos += len;
+    }
+    let plans = varint(v3, &mut pos);
+    let mut v2 = v3[..pos].to_vec();
+    v2[4] = 2;
+    pos += 4; // header CRC
+    for _ in 0..plans.div_ceil(256) {
+        let len = varint(v3, &mut pos) as usize;
+        v2.extend_from_slice(&v3[pos..pos + len]);
+        pos += len + 4; // bodies, block CRC
+    }
+    v2.push(v3[pos]); // section flags
+    assert_eq!(pos + 5, v3.len(), "flags + tail CRC end the document");
+    v2
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -156,15 +216,15 @@ proptest! {
         prop_assert_eq!(fingerprint(&from_binary), fingerprint(&plan));
     }
 
-    /// A corpus round-trips through both persistence formats with plan
-    /// order, contents and fingerprints intact.
+    /// A corpus round-trips through the store and through JSON lines with
+    /// plan order, contents and fingerprints intact.
     #[test]
     fn corpus_persistence_round_trips(plans in prop::collection::vec(arb_plan(), 0..24)) {
         let mut corpus = uplan::corpus::PlanCorpus::new();
         for plan in &plans {
             corpus.observe(plan);
         }
-        let binary = uplan::corpus::PlanCorpus::from_binary(&corpus.to_binary().unwrap()).unwrap();
+        let binary = store_round_trip(&corpus, "persistence");
         let jsonl = uplan::corpus::PlanCorpus::from_jsonl(&corpus.to_jsonl()).unwrap();
         prop_assert_eq!(binary.len(), corpus.len());
         prop_assert_eq!(jsonl.len(), corpus.len());
@@ -178,18 +238,19 @@ proptest! {
 
     /// A v1-encoded document decodes identically under the current
     /// decoder: v1 and v2 differ only in the version varint and the
-    /// trailing index flag (v3 adds checksums, so it is derived from the
-    /// unchecked encoder), so rewriting a no-index v2 document as v1
-    /// byte-for-byte must change nothing about what it decodes to.
+    /// trailing index flag (v3 adds checksums, so the v2 document is the
+    /// encoder's v3 output with its checksums stripped), so rewriting a
+    /// no-index v2 document as v1 byte-for-byte must change nothing about
+    /// what it decodes to.
     #[test]
     fn v1_documents_decode_identically_under_the_v2_decoder(
         plans in prop::collection::vec(arb_plan(), 0..12),
     ) {
-        let mut enc = uplan::core::formats::binary::BinaryEncoder::unchecked();
+        let mut enc = uplan::core::formats::binary::BinaryEncoder::new();
         for plan in &plans {
             enc.push(plan).unwrap();
         }
-        let v2 = enc.finish();
+        let v2 = strip_checksums(&enc.finish());
         let mut v1 = v2.clone();
         prop_assert_eq!(v1[4], 2u8, "version varint");
         prop_assert_eq!(v1.pop(), Some(0u8), "no-index flag");
@@ -206,9 +267,10 @@ proptest! {
         prop_assert_eq!(decode(&v1), plans);
     }
 
-    /// An indexed corpus document round-trips with zero TED evaluations on
-    /// load, and the adopted index answers queries exactly like the index
-    /// it was persisted from — same matches, same counted evaluations.
+    /// A corpus round-trips through a segment store with zero TED
+    /// evaluations on open, and the adopted index answers queries exactly
+    /// like the index it was persisted from — same matches, same counted
+    /// evaluations.
     #[test]
     fn indexed_corpus_round_trips_with_zero_load_evals(
         plans in prop::collection::vec(arb_plan(), 0..24),
@@ -219,8 +281,7 @@ proptest! {
         for plan in &plans {
             corpus.observe(plan);
         }
-        let loaded =
-            uplan::corpus::PlanCorpus::from_binary(&corpus.to_binary_indexed().unwrap()).unwrap();
+        let loaded = store_round_trip(&corpus, "indexed");
         prop_assert_eq!(loaded.index_evals(), 0);
         prop_assert_eq!(loaded.len(), corpus.len());
         prop_assert!(loaded.has_persisted_index());
