@@ -115,7 +115,7 @@
 //! cache: readers that find an unexpected dimension drop the section and
 //! recompute.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use crate::crc32::crc32;
 use crate::error::{Error, Result};
@@ -263,7 +263,10 @@ fn unzigzag(v: u64) -> i64 {
 #[derive(Debug)]
 pub struct BinaryEncoder {
     table: Vec<Symbol>,
-    refs: HashMap<Symbol, u32>,
+    /// Table index per [`Symbol::index`], [`UNASSIGNED`] for symbols not
+    /// in the table yet. Dense because symbol indices are small and
+    /// process-dense: a lookup is one bounds check, not a hash.
+    refs: Vec<u32>,
     body: Vec<u8>,
     plans: u64,
     /// Body offsets at which each checksum block starts.
@@ -282,7 +285,7 @@ impl BinaryEncoder {
     pub fn new() -> BinaryEncoder {
         BinaryEncoder {
             table: Vec::new(),
-            refs: HashMap::new(),
+            refs: Vec::new(),
             body: Vec::new(),
             plans: 0,
             block_starts: Vec::new(),
@@ -324,33 +327,18 @@ impl BinaryEncoder {
     /// document past [`MAX_SYMBOLS`] distinct identifiers — both of which
     /// the decoder would refuse to read back.
     pub fn push(&mut self, plan: &UnifiedPlan) -> Result<()> {
-        if plan.root.as_ref().map_or(0, PlanNode::depth) > MAX_PLAN_DEPTH {
+        let (depth, occurrences) = plan.root.as_ref().map_or((0, 0), symbol_census);
+        if depth > MAX_PLAN_DEPTH {
             return Err(Error::Semantic(format!(
                 "plan tree deeper than the codec limit of {MAX_PLAN_DEPTH}"
             )));
         }
-        let mut symbols = std::collections::HashSet::new();
-        let collect_props = |props: &[Property], out: &mut std::collections::HashSet<Symbol>| {
-            for p in props {
-                if let PropertyCategory::Extension(name) = p.category {
-                    out.insert(name);
-                }
-                out.insert(p.identifier);
-            }
-        };
-        plan.walk(&mut |node| {
-            if let OperationCategory::Extension(name) = node.operation.category {
-                symbols.insert(name);
-            }
-            symbols.insert(node.operation.identifier);
-            collect_props(&node.properties, &mut symbols);
-        });
-        collect_props(&plan.properties, &mut symbols);
-        let new = symbols
-            .iter()
-            .filter(|s| !self.refs.contains_key(s))
-            .count();
-        if self.table.len() + new > MAX_SYMBOLS {
+        // Every symbol occurrence adds at most one table entry, so the
+        // exact count of new distinct symbols is only needed when the
+        // occurrences could overflow what is left of the table.
+        let room = MAX_SYMBOLS.saturating_sub(self.table.len());
+        if occurrences + property_symbols(&plan.properties) > room && self.new_symbols(plan) > room
+        {
             return Err(Error::Semantic(format!(
                 "document exceeds the codec limit of {MAX_SYMBOLS} distinct identifiers"
             )));
@@ -402,11 +390,44 @@ impl BinaryEncoder {
     }
 
     fn symbol_ref(&mut self, sym: Symbol) -> u32 {
-        *self.refs.entry(sym).or_insert_with(|| {
-            let id = u32::try_from(self.table.len()).expect("symbol table overflow");
+        let i = sym.index() as usize;
+        if i >= self.refs.len() {
+            self.refs.resize(i + 1, UNASSIGNED);
+        }
+        if self.refs[i] == UNASSIGNED {
+            self.refs[i] = u32::try_from(self.table.len()).expect("symbol table overflow");
             self.table.push(sym);
-            id
-        })
+        }
+        self.refs[i]
+    }
+
+    fn is_assigned(&self, sym: Symbol) -> bool {
+        self.refs
+            .get(sym.index() as usize)
+            .is_some_and(|&r| r != UNASSIGNED)
+    }
+
+    /// Distinct symbols of `plan` not yet in the table — the exact limit
+    /// check, needed only near [`MAX_SYMBOLS`].
+    fn new_symbols(&self, plan: &UnifiedPlan) -> usize {
+        let mut symbols = HashSet::new();
+        let collect_props = |props: &[Property], out: &mut HashSet<Symbol>| {
+            for p in props {
+                if let PropertyCategory::Extension(name) = p.category {
+                    out.insert(name);
+                }
+                out.insert(p.identifier);
+            }
+        };
+        plan.walk(&mut |node| {
+            if let OperationCategory::Extension(name) = node.operation.category {
+                symbols.insert(name);
+            }
+            symbols.insert(node.operation.identifier);
+            collect_props(&node.properties, &mut symbols);
+        });
+        collect_props(&plan.properties, &mut symbols);
+        symbols.iter().filter(|&&s| !self.is_assigned(s)).count()
     }
 
     fn encode_node(&mut self, node: &PlanNode) {
@@ -462,6 +483,37 @@ impl BinaryEncoder {
             }
         }
     }
+}
+
+/// Marks a [`BinaryEncoder`] `refs` entry whose symbol has no table
+/// index yet.
+const UNASSIGNED: u32 = u32::MAX;
+
+/// `(depth, symbol occurrences)` of a subtree in one pass: the depth the
+/// codec limit checks, and an upper bound on the table entries encoding
+/// the subtree can add.
+fn symbol_census(node: &PlanNode) -> (usize, usize) {
+    let mut depth = 0;
+    let mut occurrences =
+        1 + usize::from(matches!(
+            node.operation.category,
+            OperationCategory::Extension(_)
+        )) + property_symbols(&node.properties);
+    for child in &node.children {
+        let (d, o) = symbol_census(child);
+        depth = depth.max(d);
+        occurrences += o;
+    }
+    (depth + 1, occurrences)
+}
+
+/// Symbol occurrences in a property list: each identifier, plus each
+/// extension category name.
+fn property_symbols(properties: &[Property]) -> usize {
+    properties
+        .iter()
+        .map(|p| 1 + usize::from(matches!(p.category, PropertyCategory::Extension(_))))
+        .sum()
 }
 
 /// Encodes a single plan as a one-plan binary document (errors only on
@@ -1530,6 +1582,50 @@ mod tests {
             1,
             "a refused plan must not corrupt the document"
         );
+    }
+
+    #[test]
+    fn repeated_symbols_past_the_limit_still_encode() {
+        // More symbol occurrences than MAX_SYMBOLS, but one distinct
+        // identifier: the occurrence bound trips, the exact count admits.
+        let mut repeated = UnifiedPlan::new();
+        for _ in 0..=MAX_SYMBOLS {
+            repeated
+                .properties
+                .push(Property::status("sym_limit_repeated", 1));
+        }
+        let bytes = to_bytes(&repeated).unwrap();
+        assert_eq!(from_bytes(&bytes).unwrap(), repeated);
+    }
+
+    #[test]
+    fn a_document_at_exactly_the_symbol_limit_round_trips() {
+        let wide = |range: std::ops::Range<usize>| {
+            let mut plan = UnifiedPlan::new();
+            for i in range {
+                plan.properties
+                    .push(Property::status(format!("sym_limit_probe_{i}"), 1));
+            }
+            plan
+        };
+        // The second plan repeats ten symbols and adds ten: twenty
+        // occurrences against ten free entries, so only the exact count
+        // lets it in, filling the table to exactly MAX_SYMBOLS.
+        let first = wide(0..MAX_SYMBOLS - 10);
+        let second = wide(MAX_SYMBOLS - 20..MAX_SYMBOLS);
+        let mut enc = BinaryEncoder::new();
+        enc.push(&first).unwrap();
+        enc.push(&second).unwrap();
+        // Full: a new symbol is refused, a known one still encodes.
+        assert!(enc.push(&wide(MAX_SYMBOLS..MAX_SYMBOLS + 1)).is_err());
+        let again = wide(0..1);
+        enc.push(&again).unwrap();
+        let bytes = enc.finish();
+        let mut dec = BinaryDecoder::new(&bytes).unwrap();
+        assert_eq!(dec.remaining(), 3);
+        for expected in [&first, &second, &again] {
+            assert_eq!(dec.next_plan().unwrap().as_ref(), Some(expected));
+        }
     }
 
     #[test]

@@ -218,13 +218,12 @@ fn tree_dist(a: &Flat, b: &Flat, i: usize, j: usize, td: &mut [u32], fd: &mut [u
     let blj = b.lld[j] as usize;
     let rows = i - ali + 2;
     let cols = j - blj + 2;
+    // Column `c` of the forest matrix is node `blj + c - 1` of `b`.
+    let b_lld = &b.lld[blj..=j];
+    let b_labels = &b.labels[blj..=j];
     // Forest distance matrix (row stride `cols`), indexed from
-    // (ali-1, blj-1) conceptually.
-    fd[0] = 0;
-    for r in 1..rows {
-        fd[r * cols] = r as u32;
-    }
-    for (c, cell) in fd[..cols].iter_mut().enumerate().skip(1) {
+    // (ali-1, blj-1) conceptually. Row 0 is the empty `a` forest.
+    for (c, cell) in fd[..cols].iter_mut().enumerate() {
         *cell = c as u32;
     }
     for r in 1..rows {
@@ -232,26 +231,34 @@ fn tree_dist(a: &Flat, b: &Flat, i: usize, j: usize, td: &mut [u32], fd: &mut [u
         let a_lld = a.lld[ai] as usize;
         let whole_a = a_lld == ali;
         let label_a = a.labels[ai];
-        let td_row = ai * m;
-        for c in 1..cols {
-            let bj = blj + c - 1;
-            let cell = r * cols + c;
-            let up = fd[cell - cols] + 1;
-            let left = fd[cell - 1] + 1;
-            let value = if whole_a && b.lld[bj] as usize == blj {
-                // Both forests are whole trees rooted at ai/bj.
-                let rename = u32::from(label_a != b.labels[bj]);
-                let diag = fd[cell - cols - 1] + rename;
-                let best = up.min(left).min(diag);
-                td[td_row + bj] = best;
-                best
-            } else {
-                let prev_r = a_lld - ali; // forest without subtree at ai
-                let prev_c = b.lld[bj] as usize - blj;
-                let diag = fd[prev_r * cols + prev_c] + td[td_row + bj];
-                up.min(left).min(diag)
-            };
-            fd[cell] = value;
+        let td_row = &mut td[ai * m + blj..=ai * m + j];
+        let (done, rest) = fd.split_at_mut(r * cols);
+        let up_row = &done[(r - 1) * cols..];
+        // The forest without the subtree at `ai` (always an earlier row).
+        let skip_row = &done[(a_lld - ali) * cols..];
+        let row = &mut rest[..cols];
+        // The left neighbour stays in a register across the row.
+        let mut left = r as u32;
+        row[0] = left;
+        let cells = row[1..]
+            .iter_mut()
+            .zip(up_row[..cols].windows(2))
+            .zip(b_lld.iter().zip(b_labels))
+            .zip(td_row.iter_mut());
+        for (((cell, up), (&lld_b, &label_b)), known) in cells {
+            let skip_c = lld_b as usize - blj;
+            // Both forests are whole trees rooted at ai/bj: the diagonal
+            // is a rename, and the result is a new tree distance.
+            // Otherwise the diagonal skips both subtrees at their known
+            // tree distance. Selected, not branched on.
+            let whole = whole_a & (skip_c == 0);
+            let rename = up[0] + u32::from(label_a != label_b);
+            let forest = skip_row[skip_c] + *known;
+            let diag = if whole { rename } else { forest };
+            let best = (up[1] + 1).min(left + 1).min(diag);
+            *known = if whole { best } else { *known };
+            *cell = best;
+            left = best;
         }
     }
 }
@@ -525,6 +532,113 @@ mod tests {
                         assert_eq!(got, BoundedTed::Exceeded, "bound {bound}");
                     }
                 }
+            }
+        }
+    }
+
+    /// The textbook full-DP kernel — every neighbour read from the table,
+    /// one branch per cell — that [`tree_dist`] must agree with on every
+    /// pair.
+    fn reference_distance(a: &Flat, b: &Flat) -> u32 {
+        let (n, m) = (a.labels.len(), b.labels.len());
+        let mut td = vec![0u32; n * m];
+        let mut fd = vec![0u32; (n + 1) * (m + 1)];
+        for &i in &a.keyroots {
+            for &j in &b.keyroots {
+                reference_tree_dist(a, b, i as usize, j as usize, &mut td, &mut fd);
+            }
+        }
+        td[(n - 1) * m + (m - 1)]
+    }
+
+    fn reference_tree_dist(a: &Flat, b: &Flat, i: usize, j: usize, td: &mut [u32], fd: &mut [u32]) {
+        let m = b.labels.len();
+        let ali = a.lld[i] as usize;
+        let blj = b.lld[j] as usize;
+        let rows = i - ali + 2;
+        let cols = j - blj + 2;
+        fd[0] = 0;
+        for r in 1..rows {
+            fd[r * cols] = r as u32;
+        }
+        for (c, cell) in fd[..cols].iter_mut().enumerate().skip(1) {
+            *cell = c as u32;
+        }
+        for r in 1..rows {
+            let ai = ali + r - 1;
+            let a_lld = a.lld[ai] as usize;
+            let whole_a = a_lld == ali;
+            let label_a = a.labels[ai];
+            let td_row = ai * m;
+            for c in 1..cols {
+                let bj = blj + c - 1;
+                let cell = r * cols + c;
+                let up = fd[cell - cols] + 1;
+                let left = fd[cell - 1] + 1;
+                let value = if whole_a && b.lld[bj] as usize == blj {
+                    let rename = u32::from(label_a != b.labels[bj]);
+                    let diag = fd[cell - cols - 1] + rename;
+                    let best = up.min(left).min(diag);
+                    td[td_row + bj] = best;
+                    best
+                } else {
+                    let prev_r = a_lld - ali;
+                    let prev_c = b.lld[bj] as usize - blj;
+                    let diag = fd[prev_r * cols + prev_c] + td[td_row + bj];
+                    up.min(left).min(diag)
+                };
+                fd[cell] = value;
+            }
+        }
+    }
+
+    /// A pseudo-random tree of at most `budget` nodes: arity 0–4, labels
+    /// drawn from a small pool (so renames and matches both occur) under
+    /// three operation categories.
+    fn random_tree(state: &mut u64, budget: &mut usize, depth: usize) -> PlanNode {
+        let mut next = || {
+            *state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (*state >> 33) as usize
+        };
+        let name = ["A", "B", "C", "Scan", "Hash_Join"][next() % 5];
+        let mut node = match next() % 3 {
+            0 => PlanNode::producer(name),
+            1 => PlanNode::executor(name),
+            _ => PlanNode::join(name),
+        };
+        *budget = budget.saturating_sub(1);
+        let arity = if depth == 0 { 0 } else { next() % 5 };
+        for _ in 0..arity {
+            if *budget == 0 {
+                break;
+            }
+            node.children.push(random_tree(state, budget, depth - 1));
+        }
+        node
+    }
+
+    #[test]
+    fn full_kernel_matches_the_reference_kernel_on_generated_trees() {
+        let mut state = 7u64;
+        let flats: Vec<Flat> = (0..200)
+            .map(|i| {
+                let mut budget = 1 + i % 20;
+                let root = random_tree(&mut state, &mut budget, 1 + i % 6);
+                flatten(&root, &SymbolTable::read())
+            })
+            .collect();
+        let mut scratch = TedScratch::default();
+        for a in &flats {
+            for b in &flats {
+                assert_eq!(
+                    zhang_shasha(a, b, &mut scratch),
+                    reference_distance(a, b) as usize,
+                    "{} vs {} nodes",
+                    a.labels.len(),
+                    b.labels.len()
+                );
             }
         }
     }

@@ -57,7 +57,7 @@ use uplan_core::ted::{BoundedTed, TedPlan, TedScratch};
 use uplan_core::{Error, Result, UnifiedPlan};
 
 use features::{features_of, l1_distance, FeatureVector, FEATURE_DIM};
-use shard::CorpusShard;
+use shard::{CorpusShard, Keep};
 
 /// Global-registry handles for the store side of the corpus: how many
 /// plans have been observed process-wide and how batched ingest spreads
@@ -349,11 +349,23 @@ impl ShardedCorpus {
         self.shards[shard as usize].store.ted(local as usize)
     }
 
-    /// Plans whose payload is actually decoded in memory. Equals
-    /// [`ShardedCorpus::len`] for an ingested corpus; starts at zero for a
-    /// lazily opened one and grows as queries touch plans.
+    /// Plans whose body is actually decoded in memory. Plans ingested
+    /// into an in-memory corpus always are. Plans of a lazily opened store
+    /// and plans appended through [`SegmentStore::append`] start
+    /// undecoded, their bodies kept only as segment bytes: an appended
+    /// plan decodes when its body is read ([`ShardedCorpus::plan`],
+    /// iteration, re-encoding), an opened one also when a query first
+    /// needs its TED view.
     pub fn decoded_plans(&self) -> usize {
         self.shards.iter().map(|s| s.store.decoded()).sum()
+    }
+
+    /// Points every shard's plan storage at `source`, the segment bytes
+    /// its addressed slots decode from.
+    fn attach_source(&mut self, source: Arc<segment::SegmentSource>) {
+        for shard in &mut self.shards {
+            shard.store.attach(Arc::clone(&source));
+        }
     }
 
     /// The fingerprint of the stored plan with the given id.
@@ -468,10 +480,24 @@ impl ShardedCorpus {
     /// stream-order merge assigns the same dense global ids a sequential
     /// loop would have.
     pub fn ingest_parallel(&mut self, plans: &[UnifiedPlan], threads: usize) -> usize {
+        self.ingest_kept(plans, threads, Keep::Owned).len()
+    }
+
+    /// The one implementation behind [`ShardedCorpus::ingest_parallel`]
+    /// and [`SegmentStore::append`], parametrised by how an admitted plan
+    /// is kept. Returns the stream positions of the admitted plans in
+    /// global-id order: the new globals `len() - n..len()` hold
+    /// `plans[positions[0]]`, `plans[positions[1]]`, ….
+    pub(crate) fn ingest_kept(
+        &mut self,
+        plans: &[UnifiedPlan],
+        threads: usize,
+        keep: Keep,
+    ) -> Vec<u32> {
         self.observed += plans.len() as u64;
         corpus_metrics().observed.add(plans.len() as u64);
         if plans.is_empty() {
-            return 0;
+            return Vec::new();
         }
         let threads = threads.clamp(1, plans.len());
 
@@ -542,7 +568,11 @@ impl ShardedCorpus {
                                 continue;
                             }
                             // Global id patched in the merge below.
-                            let local = unit.shard.store(plans[pos as usize].clone(), fp, u32::MAX);
+                            let plan = &plans[pos as usize];
+                            let local = match keep {
+                                Keep::Owned => unit.shard.store(plan.clone(), fp, u32::MAX),
+                                Keep::TedOnly => unit.shard.store_ted(plan, fp, u32::MAX),
+                            };
                             unit.novel.push((pos, local));
                         }
                     }
@@ -563,21 +593,20 @@ impl ShardedCorpus {
             .collect();
         drop(units);
         admitted.sort_unstable();
-        let novel = admitted.len();
-        for (_, shard_idx, local) in admitted {
-            let global = u32::try_from(self.directory.len()).expect("corpus overflow");
-            self.directory.push((shard_idx, local));
-            let shard = &mut self.shards[shard_idx as usize];
-            shard.globals[local as usize] = global;
-            let plan = shard.store.plan(local as usize);
-            let (ops, depth) = (
-                plan.operation_count(),
-                plan.root.as_ref().map_or(0, |r| r.depth()),
-            );
-            self.operations += ops;
-            self.max_depth = self.max_depth.max(depth);
-        }
-        novel
+        admitted
+            .into_iter()
+            .map(|(pos, shard_idx, local)| {
+                let global = u32::try_from(self.directory.len()).expect("corpus overflow");
+                self.directory.push((shard_idx, local));
+                self.shards[shard_idx as usize].globals[local as usize] = global;
+                let plan = &plans[pos as usize];
+                self.operations += plan.operation_count();
+                self.max_depth = self
+                    .max_depth
+                    .max(plan.root.as_ref().map_or(0, |r| r.depth()));
+                pos
+            })
+            .collect()
     }
 
     /// Sequential radius query over every shard (the one radius traversal

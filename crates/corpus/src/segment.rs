@@ -20,14 +20,18 @@
 //!
 //! Three properties the layout is built around:
 //!
-//! * **Append is O(batch).** [`SegmentStore::append`] ingests the batch,
-//!   writes the novel plans as one new segment file, and atomically
-//!   rewrites only the manifest. Existing segments are never reopened,
-//!   so appending 1k plans to a 1M-plan store costs the same as to an
-//!   empty one. The manifest rename is the commit point of every
-//!   mutation: `append` and `compact` stage their in-memory changes and
-//!   publish them only once it succeeds, so a failed write leaves the
-//!   store at its before-state, on disk and in memory.
+//! * **Append is O(batch) and copy-free.** [`SegmentStore::append`]
+//!   ingests the batch, writes the novel plans as one new segment file,
+//!   and atomically rewrites only the manifest. Existing segments are
+//!   never reopened, so appending 1k plans to a 1M-plan store costs the
+//!   same as to an empty one. The store never copies an admitted plan:
+//!   ingest keeps only its TED view, the segment is encoded straight
+//!   from the caller's slice, and once committed the segment bytes are
+//!   the one stored copy of each body, decoded on first touch like a
+//!   lazily opened plan. The manifest rename is the commit point of
+//!   every mutation: `append` and `compact` stage their in-memory changes
+//!   and publish them only once it succeeds, so a failed write leaves
+//!   the store at its before-state, on disk and in memory.
 //! * **Open is lazy.** [`SegmentStore::open`] decodes manifests, tails
 //!   and topology eagerly but leaves plan payloads as offset-addressed
 //!   bytes: the corpus is queryable in milliseconds and each plan body
@@ -61,7 +65,7 @@ use uplan_core::formats::segment::{
 use uplan_core::{Error, Result, Symbol, UnifiedPlan};
 
 use crate::features::{FeatureVector, FEATURE_DIM};
-use crate::shard::LoadedPlan;
+use crate::shard::Keep;
 use crate::{options_flags, shard_index, ShardedCorpus};
 
 /// File name of the manifest inside a store directory.
@@ -72,19 +76,24 @@ pub fn segment_file(id: u32) -> String {
     format!("seg-{id:05}.upls")
 }
 
-/// The decoded-bytes backing of a lazily opened corpus: every shard's
+/// The segment bytes behind a store's corpus: every shard's
 /// [`crate::shard::PlanStore`] shares one source through an [`Arc`], so a
-/// plan body decodes at most once corpus-wide.
+/// plan body decodes at most once corpus-wide. It mirrors the committed
+/// manifest: one entry per segment, decoding against the manifest's
+/// chain. Each mutation publishes a new source (segments are shared, not
+/// copied), so a clone of the corpus taken earlier keeps the source its
+/// slots address.
 #[derive(Debug)]
 pub(crate) struct SegmentSource {
     /// The full symbol chain (from the manifest) every segment's plan
     /// bodies reference.
     symbols: Vec<Symbol>,
-    segments: Vec<SegmentData>,
+    segments: Vec<Arc<SegmentData>>,
 }
 
+/// One segment file held in memory, with the tables its parse produced.
 #[derive(Debug)]
-struct SegmentData {
+pub(crate) struct SegmentData {
     /// The raw segment file.
     bytes: Vec<u8>,
     /// Absolute offset of each plan body.
@@ -98,7 +107,26 @@ struct SegmentData {
     verified: Vec<OnceLock<()>>,
 }
 
+impl SegmentData {
+    /// Takes ownership of a segment file and of its parse's plan tables;
+    /// every block starts unverified.
+    fn new(bytes: Vec<u8>, view: SegmentView) -> SegmentData {
+        SegmentData {
+            verified: view.blocks.iter().map(|_| OnceLock::new()).collect(),
+            offsets: view.plan_offsets,
+            lens: view.plan_lens,
+            blocks: view.blocks,
+            bytes,
+        }
+    }
+}
+
 impl SegmentSource {
+    /// The segments, in manifest order.
+    pub(crate) fn segments(&self) -> &[Arc<SegmentData>] {
+        &self.segments
+    }
+
     /// Decodes plan `idx` of segment `seg`, verifying its checksum block
     /// first (once per block).
     ///
@@ -106,7 +134,7 @@ impl SegmentSource {
     /// so bytes that die *between* open and first touch mean concurrent
     /// external damage — there is no good value to return mid-query.
     /// `repro corpus salvage` is the lenient path for damaged stores.
-    pub(crate) fn load(&self, seg: u32, idx: u32) -> LoadedPlan {
+    pub(crate) fn load(&self, seg: u32, idx: u32) -> UnifiedPlan {
         let data = &self.segments[seg as usize];
         let block = idx as usize / CHECKSUM_BLOCK_PLANS as usize;
         data.verified[block].get_or_init(|| {
@@ -117,7 +145,7 @@ impl SegmentSource {
                 )
             });
         });
-        let plan = decode_plan_at(
+        decode_plan_at(
             &data.bytes,
             data.offsets[idx as usize],
             data.lens[idx as usize],
@@ -128,8 +156,7 @@ impl SegmentSource {
                 "segment {seg} plan {idx} failed to decode after block verification ({e}); \
                  run `repro corpus salvage`"
             )
-        });
-        LoadedPlan::new(plan)
+        })
     }
 }
 
@@ -257,16 +284,16 @@ impl StoreImage {
 pub fn encode_store(corpus: &ShardedCorpus) -> Result<StoreImage> {
     let (manifest, segment) = stage_store(corpus, 0)?;
     Ok(StoreImage {
-        segment: segment.map(|staged| staged.bytes),
+        segment: segment.map(|staged| staged.data.bytes),
         manifest: encode_manifest(&manifest),
     })
 }
 
 /// A segment encoded and recorded in a staged manifest but not yet
-/// written: the file bytes plus what the store publishes once the write
-/// commits.
+/// written: the file bytes (with their parsed tables) plus what the store
+/// publishes once the write commits.
 struct StagedSegment {
-    bytes: Vec<u8>,
+    data: SegmentData,
     census: SegmentCensus,
     hint: SegmentHint,
 }
@@ -282,7 +309,8 @@ fn stage_store(corpus: &ShardedCorpus, id: u32) -> Result<(Manifest, Option<Stag
         segments: Vec::new(),
     };
     let zeros = vec![0usize; corpus.shard_count()];
-    let segment = stage_segment(corpus, &mut manifest, id, 0, &zeros)?;
+    let bodies = (0..corpus.len()).map(|global| corpus.plan(global));
+    let segment = stage_segment(corpus, &mut manifest, id, 0, &zeros, bodies)?;
     Ok((manifest, segment))
 }
 
@@ -292,7 +320,7 @@ fn stage_store(corpus: &ShardedCorpus, id: u32) -> Result<(Manifest, Option<Stag
 fn commit(dir: &Path, manifest: &Manifest, segment: Option<&StagedSegment>) -> Result<()> {
     let path = segment.map(|staged| dir.join(segment_file(staged.census.id)));
     if let (Some(path), Some(staged)) = (&path, segment) {
-        write_atomic(path, &staged.bytes)?;
+        write_atomic(path, &staged.data.bytes)?;
     }
     write_atomic(&dir.join(MANIFEST_FILE), &encode_manifest(manifest)).inspect_err(|_| {
         if let Some(path) = &path {
@@ -303,14 +331,16 @@ fn commit(dir: &Path, manifest: &Manifest, segment: Option<&StagedSegment>) -> R
 
 /// Encodes globals `start..corpus.len()` as segment `id` and records it
 /// (chain delta and entry) in `manifest`, a staged copy; `counts_before`
-/// are the shard populations before `start`. Pure: nothing is written.
-/// `None` when the range is empty.
-fn stage_segment(
+/// are the shard populations before `start`, and `bodies` yields the
+/// plans of those globals in order (the corpus may not hold them). Pure:
+/// nothing is written. `None` when the range is empty.
+fn stage_segment<'p>(
     corpus: &ShardedCorpus,
     manifest: &mut Manifest,
     id: u32,
     start: usize,
     counts_before: &[usize],
+    bodies: impl Iterator<Item = &'p UnifiedPlan>,
 ) -> Result<Option<StagedSegment>> {
     let end = corpus.len();
     if start == end {
@@ -325,8 +355,7 @@ fn stage_segment(
     let mut max_fp = 0u64;
     let mut operations = 0u64;
     let mut max_depth = 0u32;
-    for global in start..end {
-        let plan = corpus.plan(global);
+    for (global, plan) in (start..end).zip(bodies) {
         builder.push(plan)?;
         let fp = corpus.fingerprint(global).0;
         min_fp = min_fp.min(fp);
@@ -342,6 +371,11 @@ fn stage_segment(
         operations += plan.operation_count() as u64;
         max_depth = max_depth.max(plan.root.as_ref().map_or(0, |r| r.depth()) as u32);
     }
+    assert_eq!(
+        builder.plan_count(),
+        (end - start) as u64,
+        "one body per global"
+    );
     let shards: Vec<SegmentShardEdges> = corpus
         .shards
         .iter()
@@ -385,15 +419,16 @@ fn stage_segment(
         feature_max: feature_max.to_vec(),
     });
     manifest.symbols.extend_from_slice(&delta);
-    // Section census from a re-parse of the encoded bytes — also a cheap
-    // self-check that the file round-trips.
+    // Plan tables and section census from a re-parse of the encoded bytes
+    // — also a cheap self-check that the file round-trips.
+    let view = parse_segment(&bytes)?;
     let census = SegmentCensus {
         id,
         plans: (end - start) as u64,
-        bytes: parse_segment(&bytes)?.sections,
+        bytes: view.sections,
     };
     Ok(Some(StagedSegment {
-        bytes,
+        data: SegmentData::new(bytes, view),
         census,
         hint: SegmentHint {
             start,
@@ -443,17 +478,17 @@ impl SegmentStore {
     pub fn create(dir: impl Into<PathBuf>, corpus: ShardedCorpus) -> Result<SegmentStore> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| write_err(&dir, e))?;
-        let mut corpus = corpus;
         let (manifest, segment) = stage_store(&corpus, 0)?;
         commit(&dir, &manifest, segment.as_ref())?;
-        let (census, hints) = segment.map(|s| (s.census, s.hint)).into_iter().unzip();
-        corpus.segment_hints = hints;
-        Ok(SegmentStore {
+        let mut store = SegmentStore {
             dir,
             manifest,
             corpus,
-            census,
-        })
+            census: Vec::new(),
+        };
+        store.corpus.segment_hints.clear();
+        store.publish(segment, Vec::new(), 0);
+        Ok(store)
     }
 
     /// Opens a store lazily: manifest, segment tails (offsets,
@@ -498,37 +533,18 @@ impl SegmentStore {
             )));
         }
 
-        // Read and parse every segment (metadata only — no plan bodies).
-        let mut views: Vec<(SegmentView, Vec<u8>)> = Vec::with_capacity(manifest.segments.len());
-        for meta in &manifest.segments {
+        // Read and parse every segment (metadata only — no plan bodies),
+        // route its plans as lazy slots, then move the file and its plan
+        // tables into the shared source.
+        let mut corpus = ShardedCorpus::with_options_and_shards(options, shard_count);
+        let mut edges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); shard_count];
+        let mut census = Vec::with_capacity(manifest.segments.len());
+        let mut segments = Vec::with_capacity(manifest.segments.len());
+        for (seg_idx, meta) in manifest.segments.iter().enumerate() {
             let path = dir.join(segment_file(meta.id));
             let bytes = std::fs::read(&path).map_err(|e| read_err(&path, e))?;
             let view = parse_segment(&bytes)?;
             check_meta(&manifest, meta, &view)?;
-            views.push((view, bytes));
-        }
-
-        let source = Arc::new(SegmentSource {
-            symbols: manifest.symbols.clone(),
-            segments: views
-                .iter()
-                .map(|(view, bytes)| SegmentData {
-                    bytes: bytes.clone(),
-                    offsets: view.plan_offsets.clone(),
-                    lens: view.plan_lens.clone(),
-                    blocks: view.blocks.clone(),
-                    verified: view.blocks.iter().map(|_| OnceLock::new()).collect(),
-                })
-                .collect(),
-        });
-
-        let mut corpus = ShardedCorpus::with_options_and_shards(options, shard_count);
-        for shard in &mut corpus.shards {
-            shard.store = crate::shard::PlanStore::lazy(Arc::clone(&source));
-        }
-        let mut edges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); shard_count];
-        let mut census = Vec::with_capacity(views.len());
-        for (seg_idx, (view, _)) in views.iter().enumerate() {
             let start = corpus.directory.len();
             let before: Vec<usize> = corpus.shards.iter().map(|s| s.len()).collect();
             for idx in 0..view.plan_count as usize {
@@ -557,7 +573,6 @@ impl SegmentStore {
                 }
                 edges[s].extend_from_slice(&group.edges);
             }
-            let meta = &manifest.segments[seg_idx];
             corpus.segment_hints.push(SegmentHint {
                 start,
                 count: view.plan_count as usize,
@@ -571,7 +586,12 @@ impl SegmentStore {
                 plans: view.plan_count,
                 bytes: view.sections,
             });
+            segments.push(Arc::new(SegmentData::new(bytes, view)));
         }
+        corpus.attach_source(Arc::new(SegmentSource {
+            symbols: manifest.symbols.clone(),
+            segments,
+        }));
         for (shard, edges) in corpus.shards.iter_mut().zip(&edges) {
             shard.adopt_index(edges).map_err(Error::Semantic)?;
         }
@@ -622,16 +642,17 @@ impl SegmentStore {
     pub fn append(&mut self, plans: &[UnifiedPlan], threads: usize) -> Result<AppendReport> {
         let before: Vec<usize> = self.corpus.shards.iter().map(|s| s.len()).collect();
         let start = self.corpus.len();
-        let admitted = self.corpus.ingest_parallel(plans, threads);
-        let (segment_id, segment_bytes) = match self.persist_from(start, &before) {
+        let admitted = self.corpus.ingest_kept(plans, threads, Keep::TedOnly);
+        let bodies = admitted.iter().map(|&pos| &plans[pos as usize]);
+        let (segment_id, segment_bytes) = match self.persist_from(start, &before, bodies) {
             Ok(Some((id, bytes))) => (Some(id), bytes),
             Ok(None) => (None, 0),
             Err(e) => return Err(self.roll_back(e)),
         };
         Ok(AppendReport {
             observed: plans.len(),
-            admitted,
-            duplicates: plans.len() - admitted,
+            admitted: admitted.len(),
+            duplicates: plans.len() - admitted.len(),
             segment_id,
             segment_bytes,
         })
@@ -655,8 +676,9 @@ impl SegmentStore {
         let (manifest, segment) = stage_store(&self.corpus, self.next_segment_id())?;
         commit(&self.dir, &manifest, segment.as_ref())?;
         self.manifest = manifest;
-        (self.census, self.corpus.segment_hints) =
-            segment.map(|s| (s.census, s.hint)).into_iter().unzip();
+        self.census.clear();
+        self.corpus.segment_hints.clear();
+        self.publish(segment, Vec::new(), 0);
         for id in old {
             let _ = std::fs::remove_file(self.dir.join(segment_file(id)));
         }
@@ -810,26 +832,67 @@ impl SegmentStore {
         self.manifest.segments.last().map_or(0, |m| m.id + 1)
     }
 
-    /// Persists globals `start..corpus.len()` as the next segment: writes
-    /// the segment file, then commits it by rewriting the manifest, and
-    /// only then publishes the new manifest, census row and hint in
-    /// memory. `None` (nothing written) when the range is empty.
-    fn persist_from(
+    /// Persists globals `start..corpus.len()`, whose plans `bodies`
+    /// yields, as the next segment: writes the segment file, then commits
+    /// it by rewriting the manifest, and only then publishes the new
+    /// manifest and segment in memory. `None` (nothing written) when the
+    /// range is empty.
+    fn persist_from<'p>(
         &mut self,
         start: usize,
         counts_before: &[usize],
+        bodies: impl Iterator<Item = &'p UnifiedPlan>,
     ) -> Result<Option<(u32, usize)>> {
         let id = self.next_segment_id();
         let mut manifest = self.manifest.clone();
-        let Some(staged) = stage_segment(&self.corpus, &mut manifest, id, start, counts_before)?
+        let Some(staged) = stage_segment(
+            &self.corpus,
+            &mut manifest,
+            id,
+            start,
+            counts_before,
+            bodies,
+        )?
         else {
             return Ok(None);
         };
         commit(&self.dir, &manifest, Some(&staged))?;
+        let bytes = staged.data.bytes.len();
         self.manifest = manifest;
+        let committed = self.corpus.shards[0].store.segments().to_vec();
+        self.publish(Some(staged), committed, start);
+        Ok(Some((id, bytes)))
+    }
+
+    /// Publishes a committed segment holding globals `start..len()`: its
+    /// census row and hint join the store's, and its bytes join `earlier`
+    /// (the segments committed before it — none when the manifest chain
+    /// restarted) in a new source decoding against the manifest's chain.
+    /// Every shard switches to that source and the segment's slots
+    /// address its bytes, so a plan whose body the corpus does not hold
+    /// decodes from them on first touch. `None` publishes nothing.
+    fn publish(
+        &mut self,
+        staged: Option<StagedSegment>,
+        mut earlier: Vec<Arc<SegmentData>>,
+        start: usize,
+    ) {
+        let Some(staged) = staged else { return };
+        let seg = earlier.len() as u32;
+        earlier.push(Arc::new(staged.data));
         self.census.push(staged.census);
-        self.corpus.segment_hints.push(staged.hint);
-        Ok(Some((id, staged.bytes.len())))
+        let corpus = &mut self.corpus;
+        corpus.segment_hints.push(staged.hint);
+        corpus.attach_source(Arc::new(SegmentSource {
+            symbols: self.manifest.symbols.clone(),
+            segments: earlier,
+        }));
+        for global in start..corpus.len() {
+            let (s, local) = corpus.directory[global];
+            corpus.shards[s as usize]
+                .store
+                .address(local as usize, seg, (global - start) as u32);
+        }
     }
 
     /// Restores the last committed state after a failed mutation by
@@ -1063,6 +1126,53 @@ mod tests {
         assert_eq!(reopened.len(), eager.len());
         assert_same_answers(&reopened, &eager);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn appended_plans_live_only_in_segment_bytes_until_touched() {
+        for threads in [1usize, 4] {
+            let dir = tmp_dir(&format!("copy-free-{threads}"));
+            let batch = stream(0, 300);
+            let mut store = SegmentStore::create(&dir, ShardedCorpus::new()).unwrap();
+            let report = store.append(&batch, threads).unwrap();
+            let mut memory = ShardedCorpus::new();
+            memory.ingest_parallel(&batch, threads);
+            // One batch into an empty store is exactly the canonical
+            // image of the in-memory corpus.
+            let image = encode_store(&memory).unwrap();
+            let files = dir_files(&dir);
+            assert_eq!(files.len(), 2);
+            assert_eq!(Some(&files[&segment_file(0)]), image.segment.as_ref());
+            assert_eq!(files[MANIFEST_FILE], image.manifest);
+            assert_eq!(report.segment_bytes, files[&segment_file(0)].len());
+
+            // Appending decoded nothing; queries run on the kept TED views
+            // and still decode nothing.
+            let corpus = store.corpus();
+            assert_eq!(corpus.len(), memory.len());
+            assert_eq!(corpus.decoded_plans(), 0);
+            assert_same_answers(corpus, &memory);
+            assert_eq!(corpus.decoded_plans(), 0);
+            assert_eq!(corpus.stats(), memory.stats());
+            // Each body decodes from the segment bytes on first touch.
+            assert_eq!(corpus.plan(7), memory.plan(7));
+            assert_eq!(corpus.decoded_plans(), 1);
+            for (id, plan) in memory.iter() {
+                assert_eq!(corpus.plan(id), plan);
+            }
+            assert_eq!(corpus.decoded_plans(), corpus.len());
+
+            // A second batch extends the source; earlier bodies stay put.
+            store.append(&stream(250, 100), threads).unwrap();
+            memory.ingest_parallel(&stream(250, 100), threads);
+            let corpus = store.corpus();
+            assert_eq!(corpus.decoded_plans(), 300);
+            for (id, plan) in memory.iter() {
+                assert_eq!(corpus.plan(id), plan);
+            }
+            assert_same_answers(corpus, &memory);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

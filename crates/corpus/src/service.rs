@@ -530,6 +530,41 @@ mod tests {
     }
 
     #[test]
+    fn persistent_and_in_memory_merges_answer_identically() {
+        let dir = std::env::temp_dir().join(format!("uplan-service-same-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let stream = plans(90);
+        let store = SegmentStore::create(&dir, ShardedCorpus::new()).unwrap();
+        let persistent = CorpusService::with_store(store, DEFAULT_PENDING_CAPACITY);
+        let memory = CorpusService::new(ShardedCorpus::new());
+        for (range, threads) in [(0..40, 1), (30..90, 4)] {
+            for service in [&persistent, &memory] {
+                service.submit(stream[range.clone()].to_vec()).unwrap();
+                service.merge(threads);
+            }
+        }
+        let (a, b) = (persistent.snapshot(), memory.snapshot());
+        assert_eq!(
+            a.corpus().decoded_plans(),
+            0,
+            "appended bodies stay encoded"
+        );
+        for probe in [&stream[3], &stream[57], &chain(&["Sort", "Seq_Scan"])] {
+            for request in [
+                QueryRequest::knn(5),
+                QueryRequest::knn(5).approx(16),
+                QueryRequest::radius(2),
+            ] {
+                let request = request.with_probe(probe.clone());
+                let (x, y) = (a.execute(&request).unwrap(), b.execute(&request).unwrap());
+                assert_eq!(x, y);
+                assert_eq!(x.cost, y.cost);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn bounded_queue_rejects_whole_batches() {
         let service = CorpusService::with_capacity(ShardedCorpus::new(), 10);
         assert_eq!(service.capacity(), 10);

@@ -13,11 +13,15 @@
 //! facade maps them to corpus-wide insertion-ordered globals through
 //! [`CorpusShard::globals`].
 //!
-//! Plan payloads live behind a [`PlanStore`]: eagerly for ingested plans,
-//! lazily (offset-addressed segment bytes, decoded on first touch) for
-//! plans opened from a segment store — the representation queries never
-//! see, because every access goes through [`PlanStore::plan`] /
-//! [`PlanStore::ted`].
+//! Plan payloads live behind a [`PlanStore`], one slot per plan with two
+//! cells filled at most once: the plan body and its pre-flattened TED
+//! view. Plans ingested into a purely in-memory corpus own both cells
+//! from the start. Plans appended to a segment store keep only the TED
+//! view (BK insertion needs it at once); the body stays in the segment
+//! bytes just written and decodes on first [`PlanStore::plan`], exactly
+//! like a plan of a lazily opened store, which starts with both cells
+//! empty. Queries never see the difference: every access goes through
+//! [`PlanStore::plan`] / [`PlanStore::ted`].
 
 use std::sync::{Arc, OnceLock};
 
@@ -27,92 +31,109 @@ use uplan_core::UnifiedPlan;
 
 use crate::bktree::BkTree;
 use crate::features::{features_of, FeatureVector};
-use crate::segment::SegmentSource;
+use crate::segment::{SegmentData, SegmentSource};
 
-/// A stored plan's in-memory form: the plan itself plus its pre-flattened
-/// TED view (every metric evaluation — BK routing, traversals, shortlist
-/// re-ranks — reads the view instead of re-flattening).
-#[derive(Debug, Clone)]
-pub(crate) struct LoadedPlan {
-    pub(crate) plan: UnifiedPlan,
-    pub(crate) ted: TedPlan,
+/// How ingest keeps a fingerprint-novel plan
+/// ([`crate::ShardedCorpus::ingest_kept`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Keep {
+    /// An owned copy of the plan: the corpus is its only home.
+    Owned,
+    /// The TED view only: the body is about to be written to a segment,
+    /// and the slot is pointed at those bytes once they are committed
+    /// ([`PlanStore::address`]).
+    TedOnly,
 }
 
-impl LoadedPlan {
-    pub(crate) fn new(plan: UnifiedPlan) -> LoadedPlan {
-        LoadedPlan {
-            ted: TedPlan::new(&plan),
-            plan,
+/// One plan's storage. The segment address is meaningless for plans that
+/// own their body; for the others the body decodes from the shared
+/// [`SegmentSource`] on first touch.
+#[derive(Debug, Clone)]
+struct PlanSlot {
+    /// Index into the source's segment list (`u32::MAX` when unaddressed).
+    seg: u32,
+    /// Plan index within that segment.
+    idx: u32,
+    /// The pre-flattened TED view. Boxed, like `plan`, so an undecoded
+    /// slot costs pointers, not inline payloads.
+    ted: OnceLock<Box<TedPlan>>,
+    /// The decoded plan body.
+    plan: OnceLock<Box<UnifiedPlan>>,
+}
+
+impl PlanSlot {
+    fn new(ted: Option<TedPlan>, plan: Option<UnifiedPlan>) -> PlanSlot {
+        fn cell<T>(value: Option<T>) -> OnceLock<Box<T>> {
+            value.map_or_else(OnceLock::new, |v| OnceLock::from(Box::new(v)))
+        }
+        PlanSlot {
+            seg: u32::MAX,
+            idx: u32::MAX,
+            ted: cell(ted),
+            plan: cell(plan),
         }
     }
 }
 
-/// One plan's storage cell. For ingested plans the cell is filled at store
-/// time and the segment address is meaningless; for lazily opened plans
-/// the cell starts empty and fills on first touch from the shared
-/// [`SegmentSource`].
-#[derive(Debug, Clone)]
-struct PlanSlot {
-    /// Index into the source's segment list (`u32::MAX` for eager slots).
-    seg: u32,
-    /// Plan index within that segment.
-    idx: u32,
-    /// The decoded plan, filled at most once. Boxed so an undecoded slot
-    /// costs pointers, not a full inline [`LoadedPlan`].
-    cell: OnceLock<Box<LoadedPlan>>,
-}
-
 /// Plan payload storage for one shard: dense by local id, decode-on-first-
 /// touch when backed by a segment source. Cloning preserves whatever is
-/// already decoded (cheap for an untouched lazy corpus, eager-deep for an
-/// ingested one).
+/// already decoded (cheap for an untouched lazy corpus, deep for owned
+/// plans and TED views).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct PlanStore {
-    /// Shared decoded-bytes source for lazy slots; `None` for a purely
-    /// in-RAM shard.
+    /// Shared segment bytes that addressed slots decode from; `None` for
+    /// a purely in-RAM shard.
     source: Option<Arc<SegmentSource>>,
     slots: Vec<PlanSlot>,
 }
 
 impl PlanStore {
-    /// An empty store whose lazy slots will decode from `source`.
-    pub(crate) fn lazy(source: Arc<SegmentSource>) -> PlanStore {
-        PlanStore {
-            source: Some(source),
-            slots: Vec::new(),
-        }
-    }
-
     pub(crate) fn len(&self) -> usize {
         self.slots.len()
     }
 
-    /// Appends an eagerly stored plan (flattening its TED view now).
+    /// Appends an owned plan (flattening its TED view now).
     pub(crate) fn push(&mut self, plan: UnifiedPlan) {
-        let cell = OnceLock::new();
-        cell.set(Box::new(LoadedPlan::new(plan)))
-            .expect("fresh cell is empty");
-        self.slots.push(PlanSlot {
-            seg: u32::MAX,
-            idx: u32::MAX,
-            cell,
-        });
+        self.slots
+            .push(PlanSlot::new(Some(TedPlan::new(&plan)), Some(plan)));
     }
 
-    /// Appends a lazy slot addressing plan `idx` of segment `seg` in the
-    /// store's source.
+    /// Appends a slot holding only a TED view; its body is reachable once
+    /// the slot is [addressed](PlanStore::address).
+    pub(crate) fn push_ted(&mut self, ted: TedPlan) {
+        self.slots.push(PlanSlot::new(Some(ted), None));
+    }
+
+    /// Appends an empty slot addressing plan `idx` of segment `seg`.
     pub(crate) fn push_lazy(&mut self, seg: u32, idx: u32) {
-        debug_assert!(self.source.is_some(), "lazy slot needs a segment source");
         self.slots.push(PlanSlot {
             seg,
             idx,
-            cell: OnceLock::new(),
+            ..PlanSlot::new(None, None)
         });
     }
 
-    fn loaded(&self, local: usize) -> &LoadedPlan {
+    /// Points slot `local` at plan `idx` of segment `seg`.
+    pub(crate) fn address(&mut self, local: usize, seg: u32, idx: u32) {
+        let slot = &mut self.slots[local];
+        (slot.seg, slot.idx) = (seg, idx);
+    }
+
+    /// Switches to `source`, which must hold every segment the slots
+    /// address.
+    pub(crate) fn attach(&mut self, source: Arc<SegmentSource>) {
+        self.source = Some(source);
+    }
+
+    /// The segments of the attached source (none when in-RAM only).
+    pub(crate) fn segments(&self) -> &[Arc<SegmentData>] {
+        self.source.as_deref().map_or(&[], SegmentSource::segments)
+    }
+
+    /// The stored plan, decoding it on first touch.
+    pub(crate) fn plan(&self, local: usize) -> &UnifiedPlan {
         let slot = &self.slots[local];
-        slot.cell.get_or_init(|| {
+        slot.plan.get_or_init(|| {
             let source = self
                 .source
                 .as_ref()
@@ -121,20 +142,17 @@ impl PlanStore {
         })
     }
 
-    /// The stored plan, decoding it on first touch.
-    pub(crate) fn plan(&self, local: usize) -> &UnifiedPlan {
-        &self.loaded(local).plan
-    }
-
-    /// The stored plan's pre-flattened TED view, decoding on first touch.
+    /// The stored plan's pre-flattened TED view, decoding the plan on
+    /// first touch when the view is not kept yet.
     pub(crate) fn ted(&self, local: usize) -> &TedPlan {
-        &self.loaded(local).ted
+        self.slots[local]
+            .ted
+            .get_or_init(|| Box::new(TedPlan::new(self.plan(local))))
     }
 
-    /// Plans whose payload has actually been decoded (lazy-open
-    /// observability; everything, for an ingested store).
+    /// Plans whose body is decoded (or owned) in memory.
     pub(crate) fn decoded(&self) -> usize {
-        self.slots.iter().filter(|s| s.cell.get().is_some()).count()
+        self.slots.iter().filter(|s| s.plan.get().is_some()).count()
     }
 }
 
@@ -177,7 +195,22 @@ impl CorpusShard {
     /// (evaluating TED against the plans already here). Returns the local
     /// id. The caller has already claimed `fp` in [`CorpusShard::dedup`].
     pub(crate) fn store(&mut self, plan: UnifiedPlan, fp: Fingerprint, global: u32) -> u32 {
-        let local = self.store_unindexed(plan, fp, global);
+        let local = self.store_with_features(plan, fp, global, None);
+        self.index_local(local);
+        local
+    }
+
+    /// [`CorpusShard::store`] that keeps only the plan's TED view (see
+    /// [`Keep::TedOnly`]).
+    pub(crate) fn store_ted(&mut self, plan: &UnifiedPlan, fp: Fingerprint, global: u32) -> u32 {
+        let local = self.push_meta(fp, global, features_of(plan));
+        self.store.push_ted(TedPlan::new(plan));
+        self.index_local(local);
+        local
+    }
+
+    /// Routes stored plan `local` into the BK-tree.
+    fn index_local(&mut self, local: u32) {
         let store = &self.store;
         let probe = store.ted(local as usize);
         let mut scratch = TedScratch::default();
@@ -185,24 +218,13 @@ impl CorpusShard {
             probe.distance(store.ted(other as usize), &mut scratch) as u32
         });
         self.index_evals += evals;
-        local
     }
 
-    /// Stores a plan *without* touching the BK-tree — the indexed-load
-    /// path, where the tree is adopted wholesale from a persisted topology
-    /// afterwards ([`CorpusShard::adopt_index`]).
-    pub(crate) fn store_unindexed(
-        &mut self,
-        plan: UnifiedPlan,
-        fp: Fingerprint,
-        global: u32,
-    ) -> u32 {
-        self.store_with_features(plan, fp, global, None)
-    }
-
-    /// [`CorpusShard::store_unindexed`] with an optional precomputed
-    /// feature vector (the featured-load path, where vectors are adopted
-    /// from the persisted section instead of recomputed).
+    /// Stores a plan *without* touching the BK-tree, with an optional
+    /// precomputed feature vector — the indexed-load path, where the tree
+    /// is adopted wholesale from a persisted topology afterwards
+    /// ([`CorpusShard::adopt_index`]) and vectors may come from a
+    /// persisted section.
     pub(crate) fn store_with_features(
         &mut self,
         plan: UnifiedPlan,
@@ -210,10 +232,16 @@ impl CorpusShard {
         global: u32,
         features: Option<FeatureVector>,
     ) -> u32 {
-        let local = u32::try_from(self.store.len()).expect("corpus shard overflow");
-        self.features
-            .push(features.unwrap_or_else(|| features_of(&plan)));
+        let features = features.unwrap_or_else(|| features_of(&plan));
+        let local = self.push_meta(fp, global, features);
         self.store.push(plan);
+        local
+    }
+
+    /// Records a new plan's eager metadata; the caller pushes its slot.
+    fn push_meta(&mut self, fp: Fingerprint, global: u32, features: FeatureVector) -> u32 {
+        let local = u32::try_from(self.store.len()).expect("corpus shard overflow");
+        self.features.push(features);
         self.fingerprints.push(fp);
         self.globals.push(global);
         local
@@ -221,8 +249,8 @@ impl CorpusShard {
 
     /// Stores a *lazy* plan: all metadata (fingerprint, features, global)
     /// eager, the payload a segment address decoded on first touch. The
-    /// caller has already claimed `fp` in the dedup set and set up the
-    /// shard's [`PlanStore::lazy`] source.
+    /// caller has already claimed `fp` in the dedup set and attaches the
+    /// shard's source ([`PlanStore::attach`]) before any plan is read.
     pub(crate) fn store_lazy(
         &mut self,
         fp: Fingerprint,
@@ -231,11 +259,8 @@ impl CorpusShard {
         seg: u32,
         idx: u32,
     ) -> u32 {
-        let local = u32::try_from(self.store.len()).expect("corpus shard overflow");
-        self.features.push(features);
+        let local = self.push_meta(fp, global, features);
         self.store.push_lazy(seg, idx);
-        self.fingerprints.push(fp);
-        self.globals.push(global);
         local
     }
 
