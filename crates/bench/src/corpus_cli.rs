@@ -1194,9 +1194,11 @@ fn open_gate(args: &[String]) -> Result<String, CliError> {
     let query_err = |e: QueryError| CliError::Input(e.to_string());
 
     // Timed halves, best of three. Both sides pay their full cold path:
-    // the lazy open reads and parses every manifest/index section (plan
-    // payloads stay on disk); the eager side also decodes every plan body
-    // (block CRCs verified, TED views flattened) before it answers.
+    // the lazy open reads the manifest and, of each segment file, the
+    // header, block framing and tail (plan payloads stay on disk); the
+    // eager side also reads and decodes every plan body (block CRCs
+    // verified) before it answers. Neither side flattens TED views up
+    // front: the query builds those of the plans it touches.
     let mut lazy_secs = f64::INFINITY;
     for _ in 0..3 {
         let t = std::time::Instant::now();

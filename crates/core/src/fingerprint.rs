@@ -293,6 +293,11 @@ impl FingerprintSet {
         self.seen.insert(fp)
     }
 
+    /// Makes room for at least `additional` more fingerprints.
+    pub fn reserve(&mut self, additional: usize) {
+        self.seen.reserve(additional);
+    }
+
     /// Whether a structurally equal plan has been recorded.
     pub fn contains(&self, plan: &UnifiedPlan) -> bool {
         self.seen.contains(&self.fingerprint_of(plan))

@@ -63,10 +63,13 @@
 //! Plan bodies are byte-identical to what [`BinaryEncoder`] produces for
 //! the same plans under the same symbol chain — the segment codec
 //! reuses [`BinaryEncoder`] for bodies and blocks and only frames them
-//! differently. Block CRCs are verified *lazily*: `parse_segment` checks
-//! the header and tail CRCs (cheap, covers all metadata) and records block
-//! extents; a block's data CRC is checked once, before the first plan in
-//! it decodes ([`verify_block`]).
+//! differently. Block CRCs are verified *lazily*: [`parse_segment`]
+//! checks the header and tail CRCs (cheap, covers all metadata) and
+//! records block extents; a block's data CRC is checked once, before the
+//! first plan in it decodes ([`verify_block`]). [`parse_segment_with`]
+//! parses a file that is not in memory through positioned reads of the
+//! header, each block's length varint and the tail, so an open reads no
+//! plan body.
 //!
 //! ## Manifest (`UPLM`, version 1)
 //!
@@ -439,38 +442,81 @@ pub fn encode_manifest(manifest: &Manifest) -> Vec<u8> {
 // ---------------------------------------------------------------------------
 
 /// Minimal byte cursor for the segment layouts (the plan-body grammar
-/// itself is delegated to [`BinaryDecoder`]).
+/// itself is delegated to [`BinaryDecoder`]). It holds a window of the
+/// file, bytes `origin..origin + input.len()`; positions are absolute file
+/// offsets, so error offsets do not depend on how much of the file was
+/// read.
 struct Reader<'a> {
     input: &'a [u8],
+    origin: usize,
     pos: usize,
+    /// Length of the whole file, for the "longer than file" bounds.
+    file_len: usize,
 }
 
 impl<'a> Reader<'a> {
+    /// A reader over a whole file.
+    fn whole(input: &'a [u8]) -> Reader<'a> {
+        Reader::window(input, 0, input.len())
+    }
+
+    /// A reader over file bytes `origin..origin + input.len()` of a
+    /// `file_len`-byte file, positioned at `origin`.
+    fn window(input: &'a [u8], origin: usize, file_len: usize) -> Reader<'a> {
+        Reader {
+            input,
+            origin,
+            pos: origin,
+            file_len,
+        }
+    }
+
+    /// File bytes `start..end`, when the window holds them.
+    fn held(&self, start: usize, end: usize) -> Option<&'a [u8]> {
+        let input: &'a [u8] = self.input;
+        input.get(start.checked_sub(self.origin)?..end.checked_sub(self.origin)?)
+    }
+
+    /// The held bytes from the current position on (`pos` never falls
+    /// below `origin`).
+    fn rest(&self) -> &'a [u8] {
+        let input: &'a [u8] = self.input;
+        input.get(self.pos - self.origin..).unwrap_or_default()
+    }
+
     fn byte(&mut self, what: &str) -> Result<u8> {
         let b = *self
-            .input
-            .get(self.pos)
+            .rest()
+            .first()
             .ok_or_else(|| Error::UnexpectedEof(what.to_owned()))?;
         self.pos += 1;
         Ok(b)
     }
 
     fn varint(&mut self, what: &str) -> Result<u64> {
+        let rest = self.rest();
         let mut value = 0u64;
-        for shift in (0..64).step_by(7) {
-            let byte = self.byte(what)?;
+        for (i, &byte) in rest.iter().take(10).enumerate() {
+            let shift = 7 * i;
             value |= u64::from(byte & 0x7f) << shift;
             if byte & 0x80 == 0 {
                 if shift == 63 && byte > 1 {
                     return Err(Error::parse(
-                        self.pos - 1,
+                        self.pos + i,
                         format!("{what} overflows 64 bits"),
                     ));
                 }
+                self.pos += i + 1;
                 return Ok(value);
             }
         }
-        Err(Error::parse(self.pos, format!("{what} varint too long")))
+        if rest.len() < 10 {
+            return Err(Error::UnexpectedEof(what.to_owned()));
+        }
+        Err(Error::parse(
+            self.pos + 10,
+            format!("{what} varint too long"),
+        ))
     }
 
     fn varint_u32(&mut self, what: &str) -> Result<u32> {
@@ -480,13 +526,14 @@ impl<'a> Reader<'a> {
 
     fn str(&mut self, what: &str) -> Result<&'a str> {
         let len = self.varint(what)? as usize;
-        let end = self
+        let bytes = self
             .pos
             .checked_add(len)
-            .filter(|e| *e <= self.input.len())
+            .and_then(|end| self.held(self.pos, end))
             .ok_or_else(|| Error::UnexpectedEof(what.to_owned()))?;
-        let text = std::str::from_utf8(&self.input[self.pos..end])
+        let text = std::str::from_utf8(bytes)
             .map_err(|_| Error::parse(self.pos, format!("{what} is not valid UTF-8")))?;
+        let end = self.pos + len;
         self.pos = end;
         Ok(text)
     }
@@ -494,24 +541,24 @@ impl<'a> Reader<'a> {
     /// Reads and verifies the 4-byte CRC trailer over `input[start..pos]`.
     fn crc(&mut self, start: usize, section: &str) -> Result<()> {
         let end = self.pos;
-        let crc_end = end
-            .checked_add(4)
-            .filter(|e| *e <= self.input.len())
+        let stored = self
+            .held(end, end + 4)
             .ok_or_else(|| Error::UnexpectedEof(format!("{section} checksum")))?;
-        let mut stored = [0u8; 4];
-        stored.copy_from_slice(&self.input[end..crc_end]);
-        if crc32(&self.input[start..end]) != u32::from_le_bytes(stored) {
+        let covered = self
+            .held(start, end)
+            .expect("a checksum covers bytes the reader already consumed");
+        if crc32(covered).to_le_bytes() != stored {
             return Err(Error::Checksum {
                 section: section.to_owned(),
                 offset: start,
             });
         }
-        self.pos = crc_end;
+        self.pos = end + 4;
         Ok(())
     }
 
     fn magic(&mut self, magic: &[u8; 4], what: &str) -> Result<()> {
-        if self.input.len() < 4 || &self.input[..4] != magic {
+        if self.held(0, 4) != Some(&magic[..]) {
             return Err(Error::parse(0, format!("not a {what} (bad magic)")));
         }
         self.pos = 4;
@@ -536,7 +583,7 @@ impl<'a> Reader<'a> {
                 format!("{what} exceeds the codec limit of {MAX_SYMBOLS} symbols"),
             ));
         }
-        if count > (self.input.len() - self.pos) as u64 {
+        if count > self.file_len.saturating_sub(self.pos) as u64 {
             return Err(Error::parse(self.pos, format!("{what} longer than file")));
         }
         let mut out = Vec::with_capacity(count as usize);
@@ -552,10 +599,7 @@ impl<'a> Reader<'a> {
 /// chain.
 pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest> {
     use super::binary::{MAX_FEATURE_DIM, MAX_INDEX_SHARDS};
-    let mut r = Reader {
-        input: bytes,
-        pos: 0,
-    };
+    let mut r = Reader::whole(bytes);
     r.magic(&MANIFEST_MAGIC, "segment-store manifest")?;
     let fingerprint_flags = r.byte("fingerprint flags")?;
     let shard_count = r.varint_u32("shard count")?;
@@ -633,11 +677,37 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest> {
 /// block with [`verify_block`] before decoding from it, then decode plans
 /// with [`decode_plan_at`]).
 pub fn parse_segment(bytes: &[u8]) -> Result<SegmentView> {
-    use super::binary::{MAX_FEATURE_DIM, MAX_INDEX_SHARDS};
-    let mut r = Reader {
-        input: bytes,
-        pos: 0,
-    };
+    parse_segment_with(bytes.len(), |at, buf| {
+        buf.copy_from_slice(&bytes[at..at + buf.len()]);
+        Ok(())
+    })
+}
+
+/// Bytes of a segment file [`parse_segment_with`] reads for the header
+/// first; a longer header (a long symbol delta) is read in doubling steps,
+/// so at most as many plan bytes as header bytes are read with it.
+const HEADER_PREFIX: usize = 16 << 10;
+
+/// The fields before a segment's first plan block.
+struct SegmentHeader {
+    id: u32,
+    fingerprint_flags: u8,
+    shard_count: u32,
+    symbols_base: u32,
+    delta: Vec<Symbol>,
+    plan_count: u64,
+    /// File offset just past the header CRC.
+    end: usize,
+    /// Bytes of the symbol-delta entries.
+    symbols_bytes: usize,
+}
+
+/// Parses a segment header from `prefix`, the first bytes of a
+/// `file_len`-byte file. [`Error::UnexpectedEof`] when the header runs
+/// past the prefix (or the file).
+fn parse_header(prefix: &[u8], file_len: usize) -> Result<SegmentHeader> {
+    use super::binary::MAX_INDEX_SHARDS;
+    let mut r = Reader::window(prefix, 0, file_len);
     r.magic(&SEGMENT_MAGIC, "corpus segment")?;
     let id = r.varint_u32("segment id")?;
     let fingerprint_flags = r.byte("fingerprint flags")?;
@@ -654,30 +724,73 @@ pub fn parse_segment(bytes: &[u8]) -> Result<SegmentView> {
     let delta = r.symbols(delta_count, "segment symbol delta")?;
     let symbols_bytes = r.pos - symbols_at;
     let plan_count = r.varint("plan count")?;
-    if plan_count > bytes.len() as u64 {
+    if plan_count > file_len as u64 {
         return Err(Error::parse(r.pos, "plan count longer than file"));
     }
-    let header_end = r.pos;
     r.crc(0, "segment header")?;
+    Ok(SegmentHeader {
+        id,
+        fingerprint_flags,
+        shard_count,
+        symbols_base,
+        delta,
+        plan_count,
+        end: r.pos,
+        symbols_bytes,
+    })
+}
+
+/// [`parse_segment`] over a `len`-byte segment file that is not in
+/// memory: `read_at(offset, buf)` fills `buf` with the file's bytes at
+/// `offset` (always within the file). Reads only the metadata: a header
+/// prefix, one varint per checksum block (the block framing), and the
+/// tail — never plan bodies, so the cost is O(metadata), not O(file).
+pub fn parse_segment_with(
+    len: usize,
+    mut read_at: impl FnMut(usize, &mut [u8]) -> Result<()>,
+) -> Result<SegmentView> {
+    use super::binary::MAX_FEATURE_DIM;
+    let mut prefix = vec![0u8; len.min(HEADER_PREFIX)];
+    read_at(0, &mut prefix)?;
+    let header = loop {
+        match parse_header(&prefix, len) {
+            Err(Error::UnexpectedEof(_)) if prefix.len() < len => {
+                let held = prefix.len();
+                prefix.resize(len.min(held * 2), 0);
+                read_at(held, &mut prefix[held..])?;
+            }
+            header => break header?,
+        }
+    };
+    drop(prefix);
+    let (plan_count, shard_count) = (header.plan_count, header.shard_count);
 
     // Walk the block frames — positions only; data CRCs verify lazily.
-    let blocks_at = r.pos;
+    let blocks_at = header.end;
     let block_count = plan_count.div_ceil(CHECKSUM_BLOCK_PLANS) as usize;
     let mut blocks = Vec::with_capacity(block_count);
+    let mut pos = blocks_at;
+    let mut frame = [0u8; 10];
     for i in 0..block_count {
-        let len = r.varint("block length")? as usize;
+        let held = (len - pos).min(frame.len());
+        read_at(pos, &mut frame[..held])?;
+        let mut r = Reader::window(&frame[..held], pos, len);
+        let block_len = r.varint("block length")? as usize;
         let start = r.pos;
         let end = start
-            .checked_add(len)
-            .filter(|e| e.checked_add(4).is_some_and(|c| c <= bytes.len()))
+            .checked_add(block_len)
+            .filter(|e| e.checked_add(4).is_some_and(|c| c <= len))
             .ok_or_else(|| Error::UnexpectedEof(format!("plan block {i}")))?;
         blocks.push((start as u32, end as u32));
-        r.pos = end + 4;
+        pos = end + 4;
     }
-    let plans_bytes = r.pos - blocks_at;
+    let plans_bytes = pos - blocks_at;
 
     // Tail: per-plan lengths → absolute offsets within the block extents.
-    let tail_start = r.pos;
+    let tail_start = pos;
+    let mut tail = vec![0u8; len - tail_start];
+    read_at(tail_start, &mut tail)?;
+    let mut r = Reader::window(&tail, tail_start, len);
     let mut plan_lens = Vec::with_capacity(plan_count as usize);
     for _ in 0..plan_count {
         plan_lens.push(r.varint_u32("plan length")?);
@@ -688,7 +801,7 @@ pub fn parse_segment(bytes: &[u8]) -> Result<SegmentView> {
         let mut cursor = 0u64;
         let mut block_end = 0u64;
         let mut block = 0usize;
-        for (i, &len) in plan_lens.iter().enumerate() {
+        for (i, &plan_len) in plan_lens.iter().enumerate() {
             if (i as u64).is_multiple_of(CHECKSUM_BLOCK_PLANS) {
                 if block > 0 && cursor != block_end {
                     return Err(Error::parse(
@@ -707,7 +820,7 @@ pub fn parse_segment(bytes: &[u8]) -> Result<SegmentView> {
                     "plan offset overflows the segment codec's 4 GiB bound",
                 )
             })?);
-            cursor += u64::from(len);
+            cursor += u64::from(plan_len);
             if cursor > block_end {
                 return Err(Error::parse(
                     r.pos,
@@ -740,7 +853,7 @@ pub fn parse_segment(bytes: &[u8]) -> Result<SegmentView> {
     }
     let value_count = plan_count
         .checked_mul(u64::from(feature_dim))
-        .filter(|&n| n <= (bytes.len() as u64) * 8)
+        .filter(|&n| n <= (len as u64) * 8)
         .ok_or_else(|| Error::parse(r.pos, "feature section longer than file"))?;
     let mut features = Vec::with_capacity(value_count as usize);
     for _ in 0..value_count {
@@ -797,16 +910,16 @@ pub fn parse_segment(bytes: &[u8]) -> Result<SegmentView> {
     }
     let index_bytes = r.pos - index_at;
     r.crc(tail_start, "segment tail")?;
-    if r.pos != bytes.len() {
+    if r.pos != len {
         return Err(Error::parse(r.pos, "trailing bytes after segment"));
     }
 
     Ok(SegmentView {
-        id,
-        fingerprint_flags,
+        id: header.id,
+        fingerprint_flags: header.fingerprint_flags,
         shard_count,
-        symbols_base,
-        delta,
+        symbols_base: header.symbols_base,
+        delta: header.delta,
         plan_count,
         plan_offsets,
         plan_lens,
@@ -818,14 +931,14 @@ pub fn parse_segment(bytes: &[u8]) -> Result<SegmentView> {
         max_depth,
         shards,
         sections: SegmentSections {
-            header: header_end + 4 - symbols_bytes,
-            symbols: symbols_bytes,
+            header: header.end - header.symbols_bytes,
+            symbols: header.symbols_bytes,
             plans: plans_bytes,
             offsets: offsets_bytes,
             fingerprints: fingerprints_bytes,
             features: features_bytes,
             index: index_bytes,
-            total: bytes.len(),
+            total: len,
         },
     })
 }
@@ -974,6 +1087,47 @@ mod tests {
                 decode_plan_at(&bytes, view.plan_offsets[i], view.plan_lens[i], &delta).unwrap();
             assert_eq!(&decoded, original);
         }
+    }
+
+    #[test]
+    fn reading_through_a_callback_touches_only_metadata() {
+        // Long distinct operation names push the symbol delta past the
+        // first header read; 600 plans span three checksum blocks.
+        let plans: Vec<UnifiedPlan> = (0..600)
+            .map(|i| plan(&format!("operation_with_a_long_name_{i:05}"), 12))
+            .collect();
+        let (bytes, _) = build_segment(&plans, &[], 3);
+        let whole = parse_segment(&bytes).unwrap();
+        assert!(whole.sections.header + whole.sections.symbols > HEADER_PREFIX);
+        assert_eq!(whole.blocks.len(), 3);
+
+        let mut read = 0usize;
+        let view = parse_segment_with(bytes.len(), |at, buf| {
+            read += buf.len();
+            buf.copy_from_slice(&bytes[at..at + buf.len()]);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(format!("{view:?}"), format!("{whole:?}"));
+        // Header (plus at most as many bytes again, as the prefix
+        // doubles), three block frames and the tail; the plan bodies stay
+        // otherwise unread.
+        let header = whole.sections.header + whole.sections.symbols;
+        let metadata = whole.sections.total - whole.sections.plans;
+        assert!(
+            read <= metadata + header + 3 * 10,
+            "read {read} bytes for {metadata} metadata bytes"
+        );
+
+        // A failing read is the parse's error.
+        let failed = parse_segment_with(bytes.len(), |at, _| {
+            if at > 0 {
+                Err(Error::UnexpectedEof("test read".into()))
+            } else {
+                Ok(())
+            }
+        });
+        assert!(failed.is_err());
     }
 
     #[test]

@@ -352,7 +352,7 @@ impl ShardedCorpus {
     /// Plans whose body is actually decoded in memory. Plans ingested
     /// into an in-memory corpus always are. Plans of a lazily opened store
     /// and plans appended through [`SegmentStore::append`] start
-    /// undecoded, their bodies kept only as segment bytes: an appended
+    /// undecoded, their bodies kept only in the segment files: an appended
     /// plan decodes when its body is read ([`ShardedCorpus::plan`],
     /// iteration, re-encoding), an opened one also when a query first
     /// needs its TED view.
@@ -360,7 +360,7 @@ impl ShardedCorpus {
         self.shards.iter().map(|s| s.store.decoded()).sum()
     }
 
-    /// Points every shard's plan storage at `source`, the segment bytes
+    /// Points every shard's plan storage at `source`, the segment files
     /// its addressed slots decode from.
     fn attach_source(&mut self, source: Arc<segment::SegmentSource>) {
         for shard in &mut self.shards {

@@ -26,19 +26,23 @@
 //!   never reopened, so appending 1k plans to a 1M-plan store costs the
 //!   same as to an empty one. The store never copies an admitted plan:
 //!   ingest keeps only its TED view, the segment is encoded straight
-//!   from the caller's slice, and once committed the segment bytes are
+//!   from the caller's slice, and once committed the segment file is
 //!   the one stored copy of each body, decoded on first touch like a
 //!   lazily opened plan. The manifest rename is the commit point of
 //!   every mutation: `append` and `compact` stage their in-memory changes
 //!   and publish them only once it succeeds, so a failed write leaves
 //!   the store at its before-state, on disk and in memory.
-//! * **Open is lazy.** [`SegmentStore::open`] decodes manifests, tails
-//!   and topology eagerly but leaves plan payloads as offset-addressed
-//!   bytes: the corpus is queryable in milliseconds and each plan body
-//!   decodes at most once, on first touch (block CRC verified then).
+//! * **Open is O(metadata).** [`SegmentStore::open`] reads the manifest
+//!   and, of each segment file, only the header, the block framing and
+//!   the tail (offsets, fingerprints, features, topology); plan payloads
+//!   stay on disk. The corpus is queryable in milliseconds and each plan
+//!   body is read and decoded at most once per slot, on first touch (its
+//!   block's CRC verified before the first decode from the block).
 //!   Query answers and counted TED evaluations are identical to the
 //!   in-RAM corpus — laziness changes *when* bytes decode, never what a
-//!   traversal does.
+//!   traversal does. No segment bytes stay in memory: the store holds
+//!   one open read handle per segment file (compact a store whose
+//!   segment count nears the process's open-file limit).
 //! * **Damage is local.** Every file is CRC-trailed; the segment is the
 //!   recovery unit. [`SegmentStore::salvage`] keeps every intact
 //!   segment's plans and drops damaged ones whole — and because the
@@ -52,15 +56,20 @@
 //! which is what lets CI diff whole store directories across thread
 //! counts.
 
+use std::cell::RefCell;
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use uplan_core::fingerprint::{Fingerprint, FingerprintOptions};
 use uplan_core::formats::binary::CHECKSUM_BLOCK_PLANS;
 pub use uplan_core::formats::segment::SegmentSections;
 use uplan_core::formats::segment::{
-    decode_manifest, decode_plan_at, encode_manifest, parse_segment, verify_block, Manifest,
-    SegmentBuilder, SegmentFinish, SegmentMeta, SegmentShardEdges, SegmentView,
+    decode_manifest, decode_plan_at, encode_manifest, parse_segment, parse_segment_with,
+    verify_block, Manifest, SegmentBuilder, SegmentFinish, SegmentMeta, SegmentShardEdges,
+    SegmentView,
 };
 use uplan_core::{Error, Result, Symbol, UnifiedPlan};
 
@@ -76,7 +85,7 @@ pub fn segment_file(id: u32) -> String {
     format!("seg-{id:05}.upls")
 }
 
-/// The segment bytes behind a store's corpus: every shard's
+/// The segment files behind a store's corpus: every shard's
 /// [`crate::shard::PlanStore`] shares one source through an [`Arc`], so a
 /// plan body decodes at most once corpus-wide. It mirrors the committed
 /// manifest: one entry per segment, decoding against the manifest's
@@ -91,70 +100,157 @@ pub(crate) struct SegmentSource {
     segments: Vec<Arc<SegmentData>>,
 }
 
-/// One segment file held in memory, with the tables its parse produced.
+/// One committed segment file: the plan tables its parse produced, and
+/// the open file, which plan bodies are read from on first touch. No
+/// segment bytes stay in memory. Holding the handle keeps the bytes
+/// readable after a compaction unlinks the file, so a corpus cloned
+/// before it still decodes.
 #[derive(Debug)]
 pub(crate) struct SegmentData {
-    /// The raw segment file.
-    bytes: Vec<u8>,
+    /// Process-unique identity, naming the segment in a [`ReadWindow`].
+    id: u64,
+    file: File,
     /// Absolute offset of each plan body.
     offsets: Vec<u32>,
     /// Byte length of each plan body.
     lens: Vec<u32>,
     /// Checksum-block extents, from the parse.
     blocks: Vec<(u32, u32)>,
-    /// One flag per block: its CRC has been verified. Lazily set before
-    /// the first plan of the block decodes.
-    verified: Vec<OnceLock<()>>,
+    /// One flag per block: its CRC has been verified. Set when the first
+    /// plan of the block decodes; later plans read only their own bytes.
+    /// The flag publishes no memory (every reader reads the file itself),
+    /// so it is loaded and stored `Relaxed`; two threads racing on an
+    /// unverified block both verify it.
+    verified: Vec<AtomicBool>,
+}
+
+/// Source of [`SegmentData::id`].
+static NEXT_SEGMENT_ID: AtomicU64 = AtomicU64::new(0);
+
+/// A thread's window of segment bytes (at most one checksum block),
+/// reused across lazy decodes so a decode allocates nothing but the plan.
+#[derive(Default)]
+struct ReadWindow {
+    bytes: Vec<u8>,
+    /// `(segment id, file offset)` of `bytes[0]`; `None` while `bytes`
+    /// holds nothing valid.
+    at: Option<(u64, u32)>,
+}
+
+thread_local! {
+    static READ_WINDOW: RefCell<ReadWindow> = RefCell::new(ReadWindow::default());
+}
+
+/// Fills `buf` with the bytes of `file` at `offset`.
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+/// Fills `buf` with the bytes of `file` at `offset`.
+#[cfg(windows)]
+fn read_exact_at(file: &File, mut buf: &mut [u8], mut offset: u64) -> std::io::Result<()> {
+    use std::os::windows::fs::FileExt;
+    while !buf.is_empty() {
+        match file.seek_read(buf, offset) {
+            Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => {
+                buf = &mut buf[n..];
+                offset += n as u64;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 impl SegmentData {
-    /// Takes ownership of a segment file and of its parse's plan tables;
-    /// every block starts unverified.
-    fn new(bytes: Vec<u8>, view: SegmentView) -> SegmentData {
+    /// Opens the segment file at `path` and parses its metadata, reading
+    /// the header, the block framing and the tail but no plan body.
+    fn open(path: &Path) -> Result<(File, SegmentView)> {
+        let file = File::open(path).map_err(|e| read_err(path, e))?;
+        let len = file.metadata().map_err(|e| read_err(path, e))?.len();
+        let len = usize::try_from(len).map_err(|e| read_err(path, e))?;
+        let view = parse_segment_with(len, |at, buf| {
+            read_exact_at(&file, buf, at as u64).map_err(|e| read_err(path, e))
+        })?;
+        Ok((file, view))
+    }
+
+    /// Takes the open segment file and its parse's plan tables; every
+    /// block starts unverified.
+    fn new(file: File, view: SegmentView) -> SegmentData {
         SegmentData {
-            verified: view.blocks.iter().map(|_| OnceLock::new()).collect(),
+            id: NEXT_SEGMENT_ID.fetch_add(1, Ordering::Relaxed),
+            verified: view.blocks.iter().map(|_| AtomicBool::new(false)).collect(),
             offsets: view.plan_offsets,
             lens: view.plan_lens,
             blocks: view.blocks,
-            bytes,
+            file,
         }
+    }
+
+    /// Makes `window` hold plan `idx` and returns the offset of its body
+    /// in `window.bytes`. The first plan of a block reads the whole block
+    /// (so the rest of a sequential pass needs no read) and checks its
+    /// CRC; a later plan reads only its own bytes, and nothing when the
+    /// window already holds it.
+    fn read_plan(&self, idx: usize, window: &mut ReadWindow) -> Result<usize> {
+        let block = idx / CHECKSUM_BLOCK_PLANS as usize;
+        let (offset, len) = (self.offsets[idx], self.lens[idx]);
+        if let Some((id, start)) = window.at {
+            if id == self.id
+                && start <= offset
+                && (offset - start) as usize + len as usize <= window.bytes.len()
+            {
+                return Ok((offset - start) as usize);
+            }
+        }
+        let (block_start, block_end) = self.blocks[block];
+        let verify = !self.verified[block].load(Ordering::Relaxed);
+        let (start, len) = if verify {
+            (block_start, (block_end - block_start) as usize + 4)
+        } else {
+            (offset, len as usize)
+        };
+        window.at = None;
+        window.bytes.resize(len, 0);
+        read_exact_at(&self.file, &mut window.bytes, u64::from(start))
+            .map_err(|e| Error::Semantic(format!("cannot read plan bytes: {e}")))?;
+        if verify {
+            verify_block(&window.bytes, (0, block_end - block_start))?;
+            self.verified[block].store(true, Ordering::Relaxed);
+        }
+        window.at = Some((self.id, start));
+        Ok((offset - start) as usize)
     }
 }
 
 impl SegmentSource {
-    /// The segments, in manifest order.
-    pub(crate) fn segments(&self) -> &[Arc<SegmentData>] {
-        &self.segments
-    }
-
     /// Decodes plan `idx` of segment `seg`, verifying its checksum block
     /// first (once per block).
     ///
-    /// Panics on a CRC or decode failure: the store was opened strictly,
-    /// so bytes that die *between* open and first touch mean concurrent
-    /// external damage — there is no good value to return mid-query.
-    /// `repro corpus salvage` is the lenient path for damaged stores.
+    /// Panics on a read, CRC or decode failure: the store was opened
+    /// strictly, so bytes that die *between* open and first touch mean
+    /// concurrent external damage — there is no good value to return
+    /// mid-query. `repro corpus salvage` is the lenient path for damaged
+    /// stores.
     pub(crate) fn load(&self, seg: u32, idx: u32) -> UnifiedPlan {
         let data = &self.segments[seg as usize];
-        let block = idx as usize / CHECKSUM_BLOCK_PLANS as usize;
-        data.verified[block].get_or_init(|| {
-            verify_block(&data.bytes, data.blocks[block]).unwrap_or_else(|e| {
-                panic!(
-                    "segment {seg} plan block {block} failed verification on lazy decode \
-                     ({e}); the store changed after open — run `repro corpus salvage`"
-                )
-            });
+        let decoded = READ_WINDOW.with_borrow_mut(|window| {
+            let at = data.read_plan(idx as usize, window)?;
+            decode_plan_at(
+                &window.bytes,
+                at as u32,
+                data.lens[idx as usize],
+                &self.symbols,
+            )
         });
-        decode_plan_at(
-            &data.bytes,
-            data.offsets[idx as usize],
-            data.lens[idx as usize],
-            &self.symbols,
-        )
-        .unwrap_or_else(|e| {
+        decoded.unwrap_or_else(|e| {
             panic!(
-                "segment {seg} plan {idx} failed to decode after block verification ({e}); \
-                 run `repro corpus salvage`"
+                "segment {seg} plan {idx} failed to read, verify or decode on first touch \
+                 ({e}); the store changed after open — run `repro corpus salvage`"
             )
         })
     }
@@ -284,15 +380,24 @@ impl StoreImage {
 pub fn encode_store(corpus: &ShardedCorpus) -> Result<StoreImage> {
     let (manifest, segment) = stage_store(corpus, 0)?;
     Ok(StoreImage {
-        segment: segment.map(|staged| staged.data.bytes),
+        segment: segment.map(|staged| staged.bytes),
         manifest: encode_manifest(&manifest),
     })
 }
 
 /// A segment encoded and recorded in a staged manifest but not yet
-/// written: the file bytes (with their parsed tables) plus what the store
-/// publishes once the write commits.
+/// written: the file bytes, their parse, and what the store publishes
+/// once the write commits.
 struct StagedSegment {
+    bytes: Vec<u8>,
+    view: SegmentView,
+    census: SegmentCensus,
+    hint: SegmentHint,
+}
+
+/// A segment whose file the manifest now lists: its bytes are on disk
+/// only, read back through `data` on first touch.
+struct CommittedSegment {
     data: SegmentData,
     census: SegmentCensus,
     hint: SegmentHint,
@@ -316,17 +421,33 @@ fn stage_store(corpus: &ShardedCorpus, id: u32) -> Result<(Manifest, Option<Stag
 
 /// Writes a staged segment (if any), then the manifest that commits it —
 /// the rename is the commit point. When the manifest write fails, the
-/// uncommitted segment file is removed again.
-fn commit(dir: &Path, manifest: &Manifest, segment: Option<&StagedSegment>) -> Result<()> {
-    let path = segment.map(|staged| dir.join(segment_file(staged.census.id)));
-    if let (Some(path), Some(staged)) = (&path, segment) {
-        write_atomic(path, &staged.data.bytes)?;
-    }
+/// uncommitted segment file is removed again. The segment's bytes are
+/// dropped once written: the committed segment reads them back from the
+/// file.
+fn commit(
+    dir: &Path,
+    manifest: &Manifest,
+    segment: Option<StagedSegment>,
+) -> Result<Option<CommittedSegment>> {
+    let written = match &segment {
+        Some(staged) => {
+            let path = dir.join(segment_file(staged.census.id));
+            Some((write_atomic(&path, &staged.bytes)?, path))
+        }
+        None => None,
+    };
     write_atomic(&dir.join(MANIFEST_FILE), &encode_manifest(manifest)).inspect_err(|_| {
-        if let Some(path) = &path {
+        if let Some((_, path)) = &written {
             let _ = std::fs::remove_file(path);
         }
-    })
+    })?;
+    Ok(segment
+        .zip(written)
+        .map(|(staged, (file, _))| CommittedSegment {
+            data: SegmentData::new(file, staged.view),
+            census: staged.census,
+            hint: staged.hint,
+        }))
 }
 
 /// Encodes globals `start..corpus.len()` as segment `id` and records it
@@ -428,7 +549,8 @@ fn stage_segment<'p>(
         bytes: view.sections,
     };
     Ok(Some(StagedSegment {
-        data: SegmentData::new(bytes, view),
+        bytes,
+        view,
         census,
         hint: SegmentHint {
             start,
@@ -447,6 +569,9 @@ pub struct SegmentStore {
     manifest: Manifest,
     corpus: ShardedCorpus,
     census: Vec<SegmentCensus>,
+    /// The committed segments, in manifest order — the source every
+    /// shard of `corpus` decodes from.
+    segments: Vec<Arc<SegmentData>>,
 }
 
 fn read_err(path: &Path, e: impl std::fmt::Display) -> Error {
@@ -459,16 +584,27 @@ fn write_err(path: &Path, e: impl std::fmt::Display) -> Error {
 
 /// Writes `bytes` to `path` atomically: a unique temp file in the same
 /// directory, then rename. Readers see either the old file or the new one,
-/// never a torn write.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
+/// never a torn write. Returns the written file, open for reading.
+fn write_atomic(path: &Path, bytes: &[u8]) -> Result<File> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(".tmp.{}", std::process::id()));
     let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, bytes).map_err(|e| write_err(&tmp, e))?;
+    let written = File::options()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(&tmp)
+        .and_then(|mut file| file.write_all(bytes).map(|()| file));
+    let file = written.map_err(|e| {
+        let _ = std::fs::remove_file(&tmp);
+        write_err(&tmp, e)
+    })?;
     std::fs::rename(&tmp, path).map_err(|e| {
         let _ = std::fs::remove_file(&tmp);
         write_err(path, e)
-    })
+    })?;
+    Ok(file)
 }
 
 impl SegmentStore {
@@ -479,23 +615,25 @@ impl SegmentStore {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| write_err(&dir, e))?;
         let (manifest, segment) = stage_store(&corpus, 0)?;
-        commit(&dir, &manifest, segment.as_ref())?;
+        let committed = commit(&dir, &manifest, segment)?;
         let mut store = SegmentStore {
             dir,
             manifest,
             corpus,
             census: Vec::new(),
+            segments: Vec::new(),
         };
         store.corpus.segment_hints.clear();
-        store.publish(segment, Vec::new(), 0);
+        store.publish(committed, 0);
         Ok(store)
     }
 
-    /// Opens a store lazily: manifest, segment tails (offsets,
-    /// fingerprints, features, BK topology) decode eagerly; plan payloads
-    /// stay undecoded until first touch. Strict — any CRC or structural
-    /// mismatch is an error ([`SegmentStore::salvage`] is the lenient
-    /// path).
+    /// Opens a store lazily: the manifest and each segment's header,
+    /// block framing and tail (offsets, fingerprints, features, BK
+    /// topology) are read and decoded eagerly; plan payloads stay on disk
+    /// until first touch. Strict — any CRC or structural mismatch in what
+    /// is read is an error ([`SegmentStore::salvage`] is the lenient
+    /// path); a plan block's CRC is checked before its first decode.
     pub fn open(dir: impl Into<PathBuf>) -> Result<SegmentStore> {
         Self::open_with_options(dir, FingerprintOptions::default())
     }
@@ -533,28 +671,32 @@ impl SegmentStore {
             )));
         }
 
-        // Read and parse every segment (metadata only — no plan bodies)
-        // before building anything. Besides failing before any work, this
-        // order more often lets glibc's allocator hand repeated in-process
-        // opens the already-faulted pages of a dropped store: interleaving
-        // the large reads with the corpus build measured up to ~1.7×
-        // slower there.
+        // Read every segment's metadata (no plan bodies) before building
+        // anything, so a bad segment fails the open before any work.
         let mut views = Vec::with_capacity(manifest.segments.len());
         for meta in &manifest.segments {
-            let path = dir.join(segment_file(meta.id));
-            let bytes = std::fs::read(&path).map_err(|e| read_err(&path, e))?;
-            let view = parse_segment(&bytes)?;
+            let (file, view) = SegmentData::open(&dir.join(segment_file(meta.id)))?;
             check_meta(&manifest, meta, &view)?;
-            views.push((view, bytes));
+            views.push((view, file));
         }
 
-        // Route each segment's plans as lazy slots, then move the file and
-        // its plan tables into the shared source.
+        // Route each segment's plans as lazy slots, then move the open
+        // file and its plan tables into the shared source.
         let mut corpus = ShardedCorpus::with_options_and_shards(options, shard_count);
         let mut edges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); shard_count];
+        // Size every table once: each segment's edge groups count its
+        // plans per shard (the parse checked they sum to its plan count).
+        for (s, shard) in corpus.shards.iter_mut().enumerate() {
+            let routed = views
+                .iter()
+                .map(|(view, _)| view.shards.get(s).map_or(0, |group| group.count as usize));
+            shard.reserve(routed.sum());
+        }
+        let total: u64 = views.iter().map(|(view, _)| view.plan_count).sum();
+        corpus.directory.reserve(total as usize);
         let mut census = Vec::with_capacity(views.len());
         let mut segments = Vec::with_capacity(views.len());
-        for ((seg_idx, meta), (view, bytes)) in manifest.segments.iter().enumerate().zip(views) {
+        for ((seg_idx, meta), (view, file)) in manifest.segments.iter().enumerate().zip(views) {
             let start = corpus.directory.len();
             let before: Vec<usize> = corpus.shards.iter().map(|s| s.len()).collect();
             for idx in 0..view.plan_count as usize {
@@ -596,11 +738,11 @@ impl SegmentStore {
                 plans: view.plan_count,
                 bytes: view.sections,
             });
-            segments.push(Arc::new(SegmentData::new(bytes, view)));
+            segments.push(Arc::new(SegmentData::new(file, view)));
         }
         corpus.attach_source(Arc::new(SegmentSource {
             symbols: manifest.symbols.clone(),
-            segments,
+            segments: segments.clone(),
         }));
         for (shard, edges) in corpus.shards.iter_mut().zip(&edges) {
             shard.adopt_index(edges).map_err(Error::Semantic)?;
@@ -612,6 +754,7 @@ impl SegmentStore {
             manifest,
             corpus,
             census,
+            segments,
         })
     }
 
@@ -648,16 +791,18 @@ impl SegmentStore {
     /// Failure-atomic: when encoding or writing fails, the store reopens
     /// itself from the last committed manifest before returning the
     /// error, so memory never holds plans the disk does not, and a retry
-    /// of the same batch admits it again.
+    /// of the same batch admits it again. Should that reopen fail too,
+    /// the batch's plans stay in memory as owned copies (readable, not
+    /// persisted) and the error says the roll-back failed.
     pub fn append(&mut self, plans: &[UnifiedPlan], threads: usize) -> Result<AppendReport> {
         let before: Vec<usize> = self.corpus.shards.iter().map(|s| s.len()).collect();
         let start = self.corpus.len();
         let admitted = self.corpus.ingest_kept(plans, threads, Keep::TedOnly);
-        let bodies = admitted.iter().map(|&pos| &plans[pos as usize]);
-        let (segment_id, segment_bytes) = match self.persist_from(start, &before, bodies) {
+        let bodies = || admitted.iter().map(|&pos| &plans[pos as usize]);
+        let (segment_id, segment_bytes) = match self.persist_from(start, &before, bodies()) {
             Ok(Some((id, bytes))) => (Some(id), bytes),
             Ok(None) => (None, 0),
-            Err(e) => return Err(self.roll_back(e)),
+            Err(e) => return Err(self.roll_back(e, start, bodies())),
         };
         Ok(AppendReport {
             observed: plans.len(),
@@ -684,11 +829,12 @@ impl SegmentStore {
         // The new segment takes a fresh id so a crash mid-compact leaves
         // the old manifest pointing at intact old files.
         let (manifest, segment) = stage_store(&self.corpus, self.next_segment_id())?;
-        commit(&self.dir, &manifest, segment.as_ref())?;
+        let committed = commit(&self.dir, &manifest, segment)?;
         self.manifest = manifest;
         self.census.clear();
+        self.segments.clear();
         self.corpus.segment_hints.clear();
-        self.publish(segment, Vec::new(), 0);
+        self.publish(committed, 0);
         for id in old {
             let _ = std::fs::remove_file(self.dir.join(segment_file(id)));
         }
@@ -866,36 +1012,29 @@ impl SegmentStore {
         else {
             return Ok(None);
         };
-        commit(&self.dir, &manifest, Some(&staged))?;
-        let bytes = staged.data.bytes.len();
+        let bytes = staged.bytes.len();
+        let committed = commit(&self.dir, &manifest, Some(staged))?;
         self.manifest = manifest;
-        let committed = self.corpus.shards[0].store.segments().to_vec();
-        self.publish(Some(staged), committed, start);
+        self.publish(committed, start);
         Ok(Some((id, bytes)))
     }
 
     /// Publishes a committed segment holding globals `start..len()`: its
-    /// census row and hint join the store's, and its bytes join `earlier`
-    /// (the segments committed before it — none when the manifest chain
-    /// restarted) in a new source decoding against the manifest's chain.
-    /// Every shard switches to that source and the segment's slots
-    /// address its bytes, so a plan whose body the corpus does not hold
-    /// decodes from them on first touch. `None` publishes nothing.
-    fn publish(
-        &mut self,
-        staged: Option<StagedSegment>,
-        mut earlier: Vec<Arc<SegmentData>>,
-        start: usize,
-    ) {
-        let Some(staged) = staged else { return };
-        let seg = earlier.len() as u32;
-        earlier.push(Arc::new(staged.data));
-        self.census.push(staged.census);
+    /// census row, hint and file join the store's, and every shard
+    /// switches to a new source of the committed segments decoding
+    /// against the manifest's chain. The segment's slots address it, so a
+    /// plan whose body the corpus does not hold decodes from the file on
+    /// first touch. `None` publishes nothing.
+    fn publish(&mut self, committed: Option<CommittedSegment>, start: usize) {
+        let Some(committed) = committed else { return };
+        let seg = self.segments.len() as u32;
+        self.segments.push(Arc::new(committed.data));
+        self.census.push(committed.census);
         let corpus = &mut self.corpus;
-        corpus.segment_hints.push(staged.hint);
+        corpus.segment_hints.push(committed.hint);
         corpus.attach_source(Arc::new(SegmentSource {
             symbols: self.manifest.symbols.clone(),
-            segments: earlier,
+            segments: self.segments.clone(),
         }));
         for global in start..corpus.len() {
             let (s, local) = corpus.directory[global];
@@ -905,18 +1044,36 @@ impl SegmentStore {
         }
     }
 
-    /// Restores the last committed state after a failed mutation by
+    /// Restores the last committed state after a failed append by
     /// reopening the store from its manifest, and returns the error to
-    /// report.
-    fn roll_back(&mut self, error: Error) -> Error {
+    /// report. When the reopen fails too, the appended globals
+    /// `start..len()` keep their slots, which hold only TED views and
+    /// address no segment: `batch` (their plans, in global order) fills
+    /// them with owned copies so the corpus stays readable.
+    fn roll_back<'p>(
+        &mut self,
+        error: Error,
+        start: usize,
+        batch: impl Iterator<Item = &'p UnifiedPlan>,
+    ) -> Error {
         match SegmentStore::open_with_options(&self.dir, self.corpus.options()) {
             Ok(reopened) => {
                 *self = reopened;
                 error
             }
-            Err(reopen) => Error::Semantic(format!(
-                "{error}; reopening the store to roll back also failed: {reopen}"
-            )),
+            Err(reopen) => {
+                let corpus = &mut self.corpus;
+                for (global, plan) in (start..corpus.len()).zip(batch) {
+                    let (s, local) = corpus.directory[global];
+                    corpus.shards[s as usize]
+                        .store
+                        .own(local as usize, plan.clone());
+                }
+                Error::Semantic(format!(
+                    "{error}; reopening the store to roll back also failed, so the batch \
+                     stays in memory unpersisted: {reopen}"
+                ))
+            }
         }
     }
 }
@@ -1164,7 +1321,7 @@ mod tests {
             assert_same_answers(corpus, &memory);
             assert_eq!(corpus.decoded_plans(), 0);
             assert_eq!(corpus.stats(), memory.stats());
-            // Each body decodes from the segment bytes on first touch.
+            // Each body decodes from the segment file on first touch.
             assert_eq!(corpus.plan(7), memory.plan(7));
             assert_eq!(corpus.decoded_plans(), 1);
             for (id, plan) in memory.iter() {
@@ -1212,6 +1369,49 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "failed to read, verify or decode on first touch")]
+    fn a_block_damaged_after_open_fails_its_first_decode() {
+        let dir = tmp_dir("damaged-after-open");
+        let mut eager = ShardedCorpus::new();
+        eager.ingest_parallel(&stream(0, 40), 2);
+        SegmentStore::create(&dir, eager).unwrap();
+        let store = SegmentStore::open(&dir).unwrap();
+        // Flip a byte inside plan 3's body; the open read no plan bytes,
+        // so only the block CRC, checked before the first decode from the
+        // block, can notice.
+        let path = dir.join(segment_file(0));
+        let mut bytes = std::fs::read(&path).unwrap();
+        let view = parse_segment(&bytes).unwrap();
+        bytes[view.plan_offsets[3] as usize] ^= 0x20;
+        std::fs::write(&path, &bytes).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        store.corpus().plan(0);
+    }
+
+    #[test]
+    fn a_lazy_clone_taken_before_compaction_still_decodes() {
+        let dir = tmp_dir("clone-compact");
+        let mut store = SegmentStore::create(&dir, ShardedCorpus::new()).unwrap();
+        for start in [0, 60, 120] {
+            store.append(&stream(start, 60), 2).unwrap();
+        }
+        drop(store);
+        let mut store = SegmentStore::open(&dir).unwrap();
+        let clone = store.corpus().clone();
+        assert_eq!(clone.decoded_plans(), 0);
+        store.compact().unwrap();
+        // The compaction removed the files the clone's slots address; the
+        // clone still reads them through its open handles.
+        assert!(!dir.join(segment_file(0)).exists());
+        let mut eager = ShardedCorpus::new();
+        eager.ingest_parallel(&stream(0, 180), 2);
+        for (id, plan) in eager.iter() {
+            assert_eq!(clone.plan(id), plan);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn failed_append_rolls_back_and_a_retry_admits_the_batch() {
         let dir = tmp_dir("failed-append");
         let mut store = SegmentStore::create(&dir, ShardedCorpus::new()).unwrap();
@@ -1236,6 +1436,33 @@ mod tests {
         let reopened = SegmentStore::open(&dir).unwrap().into_corpus();
         assert_eq!(reopened.len(), 80, "no plan lost on reopen");
         assert_same_answers(&reopened, &eager);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_append_whose_roll_back_fails_keeps_the_batch_readable() {
+        let dir = tmp_dir("failed-roll-back");
+        let mut store = SegmentStore::create(&dir, ShardedCorpus::new()).unwrap();
+        store.append(&stream(0, 40), 2).unwrap();
+        // The segment write fails (a directory squats on its path), and
+        // the reopen that would roll the append back fails as well (the
+        // manifest is gone).
+        std::fs::create_dir(dir.join(segment_file(1))).unwrap();
+        std::fs::remove_file(dir.join(MANIFEST_FILE)).unwrap();
+        let batch = stream(40, 40);
+        let error = store.append(&batch, 2).unwrap_err().to_string();
+        assert!(error.contains("roll back also failed"), "{error}");
+        // The batch stays in memory, unpersisted but readable: every new
+        // id holds its input plan, and queries and iteration work.
+        let corpus = store.corpus();
+        assert_eq!(corpus.len(), 80);
+        for (offset, plan) in batch.iter().enumerate() {
+            assert_eq!(corpus.plan(40 + offset), plan);
+        }
+        let mut eager = ShardedCorpus::new();
+        eager.ingest_parallel(&stream(0, 80), 2);
+        assert_same_answers(corpus, &eager);
+        assert_eq!(corpus.iter().count(), 80);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -18,7 +18,7 @@
 //! view. Plans ingested into a purely in-memory corpus own both cells
 //! from the start. Plans appended to a segment store keep only the TED
 //! view (BK insertion needs it at once); the body stays in the segment
-//! bytes just written and decodes on first [`PlanStore::plan`], exactly
+//! file just written and decodes on first [`PlanStore::plan`], exactly
 //! like a plan of a lazily opened store, which starts with both cells
 //! empty. Queries never see the difference: every access goes through
 //! [`PlanStore::plan`] / [`PlanStore::ted`].
@@ -31,7 +31,7 @@ use uplan_core::UnifiedPlan;
 
 use crate::bktree::BkTree;
 use crate::features::{features_of, FeatureVector};
-use crate::segment::{SegmentData, SegmentSource};
+use crate::segment::SegmentSource;
 
 /// How ingest keeps a fingerprint-novel plan
 /// ([`crate::ShardedCorpus::ingest_kept`]).
@@ -81,7 +81,7 @@ impl PlanSlot {
 /// plans and TED views).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct PlanStore {
-    /// Shared segment bytes that addressed slots decode from; `None` for
+    /// Shared segment files that addressed slots decode from; `None` for
     /// a purely in-RAM shard.
     source: Option<Arc<SegmentSource>>,
     slots: Vec<PlanSlot>,
@@ -90,6 +90,11 @@ pub(crate) struct PlanStore {
 impl PlanStore {
     pub(crate) fn len(&self) -> usize {
         self.slots.len()
+    }
+
+    /// Makes room for at least `additional` more slots.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.slots.reserve(additional);
     }
 
     /// Appends an owned plan (flattening its TED view now).
@@ -125,9 +130,10 @@ impl PlanStore {
         self.source = Some(source);
     }
 
-    /// The segments of the attached source (none when in-RAM only).
-    pub(crate) fn segments(&self) -> &[Arc<SegmentData>] {
-        self.source.as_deref().map_or(&[], SegmentSource::segments)
+    /// Gives slot `local` an owned copy of its plan, unless it holds one
+    /// already.
+    pub(crate) fn own(&mut self, local: usize, plan: UnifiedPlan) {
+        let _ = self.slots[local].plan.set(Box::new(plan));
     }
 
     /// The stored plan, decoding it on first touch.
@@ -184,6 +190,15 @@ impl CorpusShard {
             dedup: FingerprintSet::with_options(options),
             ..CorpusShard::default()
         }
+    }
+
+    /// Makes room for at least `additional` more plans.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.dedup.reserve(additional);
+        self.store.reserve(additional);
+        self.fingerprints.reserve(additional);
+        self.globals.reserve(additional);
+        self.features.reserve(additional);
     }
 
     /// Distinct plans stored in this shard.
